@@ -5,13 +5,27 @@ the 2**m subsets together with a generating family of probabilities whose
 pointwise maximum the table is.  Construction validates normalization,
 monotonicity, and the envelope identity, so every `UpperProb` in
 circulation is coherent: its table equals the subset-wise maximum over
-its own core.
+its own core.  Subset sums of generators are worked in integers over a
+common denominator and are not cached, so an envelope of hundreds of
+generators costs integer additions and holds no memory afterwards.
 
 The core {P : P(A) <= V(A) for all A} is a polytope; `core_vertices`
 enumerates its exact vertex set, and `invariant_core_vertices` does the
 same for the sub-polytope of map-invariant core members, worked in
 cycle-simplex coordinates (the invariant probabilities of a finite map
 are exactly the mixtures of its cycle uniforms).
+
+Both enumerate on the support S = null_support(V) only: |S| coordinates
+(or the cycles inside S), and rows for the nonempty proper subsets of S.
+This is exact.  A core member P has P({w}) <= V({w}) = 0 off S, so it
+lives on S; on S, the bound for A follows from the bound for A & S,
+because P(A) = P(A & S) <= V(A & S) <= V(A) by monotonicity; and the
+bound for S itself is V(S) = 1, since every generator lives on S too.
+So the core is the polytope on S, padded with zeros; likewise an
+invariant core member gives no weight to a cycle with a point off S.
+For an invariant V this is a real saving, because every point off the
+cycles is null.  The lifted vertices are still checked against all 2**m
+bounds.
 """
 
 from __future__ import annotations
@@ -19,8 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import measure, polytope, space
+from .errors import InternalVerificationError
 from .measure import Prob, _as_fraction, subset_sums
 from .space import SubsetMask, Transformation
 
@@ -59,6 +75,22 @@ def compose_with_map(f: FunctionOnSpace, T: Transformation) -> FunctionOnSpace:
     return FunctionOnSpace(tuple(f.values[T.table[w]] for w in range(T.size)))
 
 
+def _scaled_subset_sums(mass: tuple[Fraction, ...], den: int) -> list[int]:
+    """den * P(A) for every bitmask A; den must be a common denominator of the masses."""
+    nums = [x.numerator * (den // x.denominator) for x in mass]
+    out = [0] * (1 << len(nums))
+    for mask in range(1, len(out)):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] + nums[low.bit_length() - 1]
+    return out
+
+
+def _scaled_envelope(gens) -> tuple[int, list[int]]:
+    """A common denominator D of the generators, and D * max_i P_i(A) for every A."""
+    den = lcm(*(x.denominator for g in gens for x in g.mass))
+    return den, list(map(max, zip(*(_scaled_subset_sums(g.mass, den) for g in gens))))
+
+
 @dataclass(frozen=True)
 class UpperProb:
     """An upper probability: the set-wise maximum of its generators.
@@ -88,18 +120,16 @@ class UpperProb:
             raise ValueError("value at the empty set must be 0")
         if table[-1] != 1:
             raise ValueError("value at the whole space must be 1")
-        sums = []
-        for gen in self.generators:
-            if gen.size != m:
-                raise ValueError("generator lives on a different space")
-            sums.append(subset_sums(gen.mass))
-        for mask in range(n):
-            best = max(s[mask] for s in sums)
-            if table[mask] != best:
+        if any(gen.size != m for gen in self.generators):
+            raise ValueError("generator lives on a different space")
+        den, best = _scaled_envelope(self.generators)
+        for mask, (b, v) in enumerate(zip(best, table)):
+            if b * v.denominator != v.numerator * den:
                 raise ValueError(f"table is not the generator envelope at mask {mask}")
+        # table = best / den now, so monotonicity can be read off best
         for mask in range(n):
             for w in range(m):
-                if not mask >> w & 1 and table[mask] > table[mask | 1 << w]:
+                if not mask >> w & 1 and best[mask] > best[mask | 1 << w]:
                     raise ValueError("table is not monotone under inclusion")
 
     @property
@@ -132,55 +162,91 @@ def envelope(generators) -> UpperProb:
     m = gens[0].size
     if any(g.size != m for g in gens):
         raise ValueError("generators live on different spaces")
-    sums = [subset_sums(g.mass) for g in gens]
-    table = tuple(max(s[mask] for s in sums) for mask in range(1 << m))
+    den, best = _scaled_envelope(gens)
+    table = tuple(Fraction(b, den) for b in best)
     return UpperProb(table, tuple(gens))
 
 
 def core_contains(V: UpperProb, P: Prob) -> bool:
-    """Whether P(A) <= V(A) for every subset A."""
+    """Whether P(A) <= V(A) for every subset A.
+
+    Worked in integers: with D the common denominator of P's masses and
+    n = D * P, P(A) <= V(A) iff n(A) * den(V(A)) <= num(V(A)) * D.
+    """
     if P.size != V.size:
         raise ValueError("measure and capacity live on different spaces")
-    sums = subset_sums(P.mass)
-    return all(sums[mask] <= V.table[mask] for mask in range(len(V.table)))
+    den = lcm(*(x.denominator for x in P.mass))
+    sums = _scaled_subset_sums(P.mass, den)
+    return all(s * v.denominator <= v.numerator * den for s, v in zip(sums, V.table))
+
+
+def _proper_submasks(S: SubsetMask):
+    """The nonempty proper subsets of S, in increasing mask order."""
+    a = -S & S
+    while a != S:
+        yield a
+        a = (a - S) & S
+
+
+def _checked(V: UpperProb, masses) -> tuple[Prob, ...]:
+    """Probabilities in lexicographic mass order, each checked against every bound of V."""
+    out = tuple(sorted((Prob(x) for x in masses), key=lambda p: p.mass))
+    for P in out:
+        if not core_contains(V, P):
+            raise InternalVerificationError("a vertex lifted from the support breaks a bound of V")
+    return out
 
 
 @lru_cache(maxsize=512)
 def core_vertices(V: UpperProb) -> tuple[Prob, ...]:
-    """Exact vertex set of the core polytope, in lexicographic mass order."""
-    m = V.size
+    """Exact vertex set of the core polytope, in lexicographic mass order.
+
+    Enumerated in the |S| coordinates of the support S = null_support(V)
+    and padded with zeros off S (see the module docstring).
+    """
+    S = null_support(V)
+    pts = tuple(space.points(S))
     rows = []
-    for mask in range(1, len(V.table) - 1):
+    for mask in _proper_submasks(S):
         rhs = V.table[mask]
         if rhs >= 1:
             continue
-        coeffs = tuple(ONE if mask >> w & 1 else ZERO for w in range(m))
-        rows.append((coeffs, rhs))
-    verts = polytope.simplex_cut_vertices(m, rows)
-    return tuple(Prob(v) for v in verts)
+        rows.append((tuple(ONE if mask >> w & 1 else ZERO for w in pts), rhs))
+    verts = polytope.simplex_cut_vertices(len(pts), rows)
+    masses = []
+    for v in verts:
+        mass = [ZERO] * V.size
+        for w, x in zip(pts, v):
+            mass[w] = x
+        masses.append(mass)
+    return _checked(V, masses)
 
 
 @lru_cache(maxsize=512)
 def invariant_core_vertices(V: UpperProb, T: Transformation) -> tuple[Prob, ...]:
     """Vertices of {P in core(V) : P invariant under T}.
 
-    Worked in the simplex of mixture weights over the cycle uniforms and
-    mapped back to mass vectors; empty if no core member is invariant.
+    Worked in the simplex of mixture weights over the uniforms of the
+    cycles inside the support S = null_support(V), with rows for the
+    proper subsets of S only, and mapped back to mass vectors; empty if
+    no core member is invariant.
     """
     if T.size != V.size:
         raise ValueError("map and capacity live on different spaces")
-    uniforms = measure.ergodic_probabilities(T)
-    k = len(uniforms)
+    S = null_support(V)
+    uniforms = [u for u in measure.ergodic_probabilities(T) if u.support() & ~S == 0]
+    if not uniforms:
+        return ()
     usums = [subset_sums(u.mass) for u in uniforms]
     rows = []
-    for mask in range(1, len(V.table) - 1):
+    for mask in _proper_submasks(S):
         rhs = V.table[mask]
         coeffs = tuple(s[mask] for s in usums)
         if rhs >= max(coeffs):
             continue
         rows.append((coeffs, rhs))
-    lam_verts = polytope.simplex_cut_vertices(k, rows)
-    out = []
+    lam_verts = polytope.simplex_cut_vertices(len(uniforms), rows)
+    masses = []
     for lam in lam_verts:
         mass = [ZERO] * V.size
         for c, weight in enumerate(lam):
@@ -188,8 +254,8 @@ def invariant_core_vertices(V: UpperProb, T: Transformation) -> tuple[Prob, ...]
                 for w, v in enumerate(uniforms[c].mass):
                     if v:
                         mass[w] += weight * v
-        out.append(Prob(tuple(mass)))
-    return tuple(sorted(out, key=lambda p: p.mass))
+        masses.append(mass)
+    return _checked(V, masses)
 
 
 def choquet_integral(V: UpperProb, f: FunctionOnSpace) -> Fraction:

@@ -142,12 +142,18 @@ def load_system(path: str) -> SystemDescription:
     return SystemDescription(m, T, generators, probability)
 
 
-def _load_vector(path: str, key: str, m: int) -> list[Fraction]:
+def _load_field(path: str, key: str):
+    """A JSON file's document, or its `key` field when the document is an object."""
     doc = _load_json(path)
     if isinstance(doc, dict):
         if key not in doc:
             raise InputError(key, f"missing in {path}")
         doc = doc[key]
+    return doc
+
+
+def _load_vector(path: str, key: str, m: int) -> list[Fraction]:
+    doc = _load_field(path, key)
     if not isinstance(doc, list):
         raise InputError(path, "expected an array of rationals")
     if len(doc) != m:
@@ -287,7 +293,8 @@ def _cmd_decompose(desc: SystemDescription, args) -> tuple[int, dict, list[str]]
     V = _require_generators(desc)
     T = desc.T
     if args.probability:
-        P = Prob(tuple(_load_vector(args.probability, "probability", desc.size)))
+        doc = _load_field(args.probability, "probability")
+        P = _mass_vector(doc, args.probability, desc.size)
     elif desc.probability is not None:
         P = desc.probability
     else:

@@ -294,7 +294,10 @@ def oracle_fec(vtable: Table, ttable: MapTable) -> tuple[tuple[tuple[int, ...], 
 
     A cell passes when some core member gives it full mass and the
     resulting restricted supremum (computed entrywise by LP) is null on
-    one side of every invariant set.
+    one side of every invariant set.  Invariant sets come in complement
+    pairs, so each pair is visited once, from its smaller mask; the LP's
+    feasible region does not depend on the objective, so one infeasible
+    LP decides the cell, and the scan stops at the first failing pair.
     """
     m = len(ttable)
     invariant = oracle_invariant_sets(ttable)
@@ -306,21 +309,20 @@ def oracle_fec(vtable: Table, ttable: MapTable) -> tuple[tuple[tuple[int, ...], 
 
     def passes(cell: int) -> bool:
         if cell not in cell_ok:
-            coeffs_cell = [ONE if cell >> w & 1 else ZERO for w in range(m)]
-            sup: dict[int, Fraction] = {}
+            on_cell = [([ONE if cell >> w & 1 else ZERO for w in range(m)], ONE)]
+
+            def sup(a: int) -> Fraction | None:
+                objective = [ONE if a >> w & 1 else ZERO for w in range(m)]
+                return oracle_core_sup(vtable, objective, on_cell)
+
             ok = True
             for a in invariant:
-                val = oracle_core_sup(
-                    vtable,
-                    [ONE if a >> w & 1 else ZERO for w in range(m)],
-                    [(coeffs_cell, ONE)],
-                )
-                if val is None:
+                if a > full ^ a:
+                    continue
+                val = sup(a)
+                if val is None or (val != 0 and sup(full ^ a) != 0):
                     ok = False
                     break
-                sup[a] = val
-            if ok:
-                ok = all(sup[a] == 0 or sup[full ^ a] == 0 for a in invariant)
             cell_ok[cell] = ok
         return cell_ok[cell]
 

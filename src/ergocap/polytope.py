@@ -1,38 +1,73 @@
 """Exact vertex enumeration for polytopes cut out of a probability simplex.
 
-Incremental double description: start from the standard simplex (whose
-vertices are the unit vectors), then impose one inequality at a time.
-Each cut keeps the satisfying vertices and adds the intersection of the
-hyperplane with every edge joining a strictly-inside vertex to a
-strictly-outside one.  Edges are recognized combinatorially: two vertices
-span an edge iff no third vertex is tight on every constraint tight at
-both.  All arithmetic is over `fractions.Fraction`, so the output is the
+Incremental double description (Fukuda & Prodon, 1996): start from the
+standard simplex (whose vertices are the unit vectors), then impose one
+inequality at a time.  Each cut keeps the satisfying vertices and adds
+the intersection of the hyperplane with every edge joining a
+strictly-inside vertex to a strictly-outside one.
+
+Every vertex carries its tight set, a bitmask over the sign constraints
+x_j >= 0 (bits 0..dim-1) and the rows cut so far (bit dim + r).  A vertex
+born strictly inside the edge (v, w) is tight exactly where both ends
+are, plus on the new cut, so it inherits `tight[v] & tight[w] | cut`
+without evaluating a single row.  Edges are recognized combinatorially:
+two vertices span an edge iff no third vertex is tight on every
+constraint tight at both.  Each cut first indexes the vertices by
+constraint, one bitset of positions per constraint, so that both tests
+below are a few big-integer operations instead of a Python loop over
+the vertices.  A cardinality test keeps, for each outside vertex, only
+the inside vertices that share at least dim - 2 of its tight
+constraints, since an edge of a polytope inside the (dim - 1)-dimensional
+simplex lies on at least that many independent constraints; for those,
+the AND of the bitsets of the common constraints must hold just the two
+ends.
+
+Arithmetic is fraction-free, in the spirit of Bareiss (1968).  Each row
+a.x <= b is scaled by the lcm of its denominators and homogenized into
+an integer vector h = a - b * (1, ..., 1), so that a point x / sum(x) of
+the simplex satisfies the row iff h.x <= 0.  A vertex is a gcd-reduced
+nonnegative integer vector x standing for the point x / sum(x), and the
+point where the edge (v, w) meets the cut is the integer combination
+(h.w) v - (h.v) w.  Fractions appear only in the output, which is the
 exact vertex set.
 
 Cost grows with the number of live vertices, not with the number of
 candidate constraint bases, which keeps the envelope cores of this
-library (tens of vertices) cheap even at the full subset-constraint
-count 2**m.
+library (tens to hundreds of vertices) cheap even at the full
+subset-constraint count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .space import points
 
 Vector = tuple[Fraction, ...]
 Row = tuple[Sequence[Fraction], Fraction]
 
 
-def _dot(coeffs: Sequence[Fraction], x: Vector) -> Fraction:
-    total = ZERO
-    for c, v in zip(coeffs, x):
-        if c:
-            total += c * v
-    return total
+def _homogenize(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[int, ...]:
+    """The integer h with h.x <= 0 iff coeffs.(x / sum(x)) <= rhs, for x >= 0."""
+    scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    b = rhs.numerator * (scale // rhs.denominator)
+    return tuple(c.numerator * (scale // c.denominator) - b for c in coeffs)
+
+
+def _dot(h: tuple[int, ...], x: tuple[int, ...]) -> int:
+    return sum(map(mul, h, x))
+
+
+def _in_at_least(r: int, sets: list[int]) -> int:
+    """The bitset of positions that lie in at least r of the given bitsets."""
+    level = [-1] + [0] * r  # level[j]: positions in at least j of the sets so far
+    for s in sets:
+        for j in range(r, 0, -1):
+            level[j] |= level[j - 1] & s
+    return level[r]
 
 
 def simplex_cut_vertices(dim: int, rows: Sequence[Row]) -> list[Vector]:
@@ -43,74 +78,69 @@ def simplex_cut_vertices(dim: int, rows: Sequence[Row]) -> list[Vector]:
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    verts: list[Vector] = []
-    tight: list[int] = []
+    verts = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     base = (1 << dim) - 1
-    for i in range(dim):
-        verts.append(tuple(ONE if j == i else ZERO for j in range(dim)))
-        tight.append(base ^ (1 << i))
+    tight = [base ^ (1 << i) for i in range(dim)]
+    edge_rank = max(dim - 2, 0)
 
-    processed: list[Row] = []
-
-    def tight_mask(x: Vector) -> int:
-        mask = 0
-        for j in range(dim):
-            if x[j] == 0:
-                mask |= 1 << j
-        for r, (coeffs, rhs) in enumerate(processed):
-            if _dot(coeffs, x) == rhs:
-                mask |= 1 << (dim + r)
-        return mask
-
+    homs: list[tuple[int, ...]] = []
     for coeffs, rhs in rows:
-        processed.append((coeffs, rhs))
-        cid = 1 << (dim + len(processed) - 1)
-        vals = [_dot(coeffs, v) - rhs for v in verts]
-        if all(val <= 0 for val in vals):
-            for i, val in enumerate(vals):
-                if val == 0:
-                    tight[i] |= cid
+        h = _homogenize(coeffs, rhs)
+        homs.append(h)
+        cid = 1 << (dim + len(homs) - 1)
+        vals = [_dot(h, v) for v in verts]
+        outside = [k for k, val in enumerate(vals) if val > 0]
+        if not outside:
+            tight = [t | cid if val == 0 else t for t, val in zip(tight, vals)]
             continue
         inside = [i for i, val in enumerate(vals) if val < 0]
         on = [i for i, val in enumerate(vals) if val == 0]
         if not inside and not on:
             return []
-        outside = [i for i, val in enumerate(vals) if val > 0]
 
-        fresh: dict[Vector, int] = {}
-        for i in inside:
-            ti = tight[i]
-            for k in outside:
-                common = ti & tight[k]
-                edge = True
-                for z in range(len(verts)):
-                    if z != i and z != k and common & ~tight[z] == 0:
-                        edge = False
-                        break
-                if not edge:
+        # col[c] is the set of vertices tight on constraint c, as a bitset of
+        # positions; the vertices tight on all of a tight set T are then the
+        # AND of col[c] over c in T
+        col = [0] * (dim + len(homs))
+        for z, t in enumerate(tight):
+            bit = 1 << z
+            while t:
+                low = t & -t
+                col[low.bit_length() - 1] |= bit
+                t ^= low
+        everyone = (1 << len(verts)) - 1
+        inside_set = sum(1 << i for i in inside)
+        fresh: dict[tuple[int, ...], int] = {}
+        for k in outside:
+            tk, vk, sk = tight[k], verts[k], vals[k]
+            near = _in_at_least(edge_rank, [col[c] for c in points(tk)]) & inside_set
+            for i in points(near):
+                common = tight[i] & tk
+                cover = everyone
+                for c in points(common):
+                    cover &= col[c]
+                if cover != 1 << i | 1 << k:
                     continue
-                t = vals[i] / (vals[i] - vals[k])
-                p = tuple(a + t * (b - a) for a, b in zip(verts[i], verts[k]))
-                if p not in fresh:
-                    fresh[p] = tight_mask(p)
+                si = vals[i]
+                p = [sk * a - si * b for a, b in zip(verts[i], vk)]
+                g = gcd(*p)
+                fresh.setdefault(tuple(x // g for x in p), common | cid)
 
-        new_verts: list[Vector] = []
-        new_tight: list[int] = []
-        for i in inside:
-            new_verts.append(verts[i])
-            new_tight.append(tight[i])
+        new_verts = [verts[i] for i in inside]
+        new_tight = [tight[i] for i in inside]
         for i in on:
             new_verts.append(verts[i])
             new_tight.append(tight[i] | cid)
-        for p, msk in fresh.items():
-            new_verts.append(p)
-            new_tight.append(msk)
+        new_verts.extend(fresh)
+        new_tight.extend(fresh.values())
         verts, tight = new_verts, new_tight
 
+    out = []
     for v in verts:
-        if any(x < 0 for x in v) or sum(v) != 1:
+        total = sum(v)
+        if total <= 0 or any(x < 0 for x in v):
             raise RuntimeError("vertex escaped the simplex; cut bookkeeping is broken")
-        for coeffs, rhs in processed:
-            if _dot(coeffs, v) > rhs:
-                raise RuntimeError("vertex violates a processed constraint")
-    return sorted(set(verts))
+        if any(_dot(h, v) > 0 for h in homs):
+            raise RuntimeError("vertex violates a processed constraint")
+        out.append(tuple(Fraction(x, total) for x in v))
+    return sorted(set(out))

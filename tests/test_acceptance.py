@@ -100,6 +100,30 @@ def test_criterion_1_equivalence(pool, capsys):
     assert ok, f"equivalence sweep took {elapsed:.1f}s, budget is 60s"
 
 
+def test_criterion_1_main_path_budget(pool, capsys):
+    # the 60 s budget above is nearly all oracle time; this one times the
+    # main path alone, from cold caches, so a main-path slowdown shows
+    capacity.core_vertices.cache_clear()
+    capacity.invariant_core_vertices.cache_clear()
+    measure.subset_sums.cache_clear()
+    start = time.monotonic()
+    for V, T, result in pool:
+        assert fec.fec_decompose(V, T) == result
+        decomposed = isinstance(result, FECResult)
+        assert fec.zero_one_condition(V, T) == decomposed
+        assert fec.invariant_vertices_decompose(V, T) == decomposed
+        assert fec.extreme_points_check(V, T) == decomposed
+    elapsed = time.monotonic() - start
+    ok = elapsed < 5
+    announce(
+        capsys,
+        1,
+        ok,
+        f"main path (fec_decompose and three predicates) on {len(pool)} systems, {elapsed:.1f}s",
+    )
+    assert ok, f"main-path sweep took {elapsed:.1f}s, budget is 5s"
+
+
 def _corruption_detected(V, T, result) -> bool:
     # replace one component measure by a point mass whose orbit frequency
     # differs from 1 at some charged point; the check must then fail

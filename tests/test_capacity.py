@@ -1,11 +1,12 @@
 """Envelopes, cores, Choquet integration, and capacity invariance."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ergocap import oracle, space
+from ergocap import capacity, generate, measure, oracle, polytope, space
 from ergocap.capacity import (
     FunctionOnSpace,
     choquet_integral,
@@ -17,6 +18,7 @@ from ergocap.capacity import (
     is_invariant_capacity,
     null_support,
 )
+from ergocap.errors import InternalVerificationError
 from ergocap.measure import Prob
 from ergocap.space import Transformation
 
@@ -136,6 +138,108 @@ def test_invariant_core_vertices_single_probability(swap_pairs, q1):
     assert invariant_core_vertices(envelope([q1]), swap_pairs) == (q1,)
     moved = envelope([prob("1/3", "2/3", 0, 0)])
     assert invariant_core_vertices(moved, swap_pairs) == ()
+
+
+def test_invariant_core_vertices_no_cycle_inside_the_support():
+    # 0 -> 1 -> 1: the only cycle {1} is null, the core is {delta_0}
+    T = Transformation((1, 1))
+    V = envelope([prob(1, 0)])
+    assert core_vertices(V) == (prob(1, 0),)
+    assert invariant_core_vertices(V, T) == ()
+
+
+def _full_core(V):
+    # the unreduced formulation: all m coordinates, every proper subset row
+    m = V.size
+    rows = [
+        (tuple(F(mask >> w & 1) for w in range(m)), V(mask)) for mask in range(1, (1 << m) - 1)
+    ]
+    return tuple(Prob(v) for v in polytope.simplex_cut_vertices(m, rows))
+
+
+def _full_invariant_core(V, T):
+    # the unreduced formulation: weights over every cycle, every proper subset row
+    uniforms = measure.ergodic_probabilities(T)
+    rows = [(tuple(u(mask) for u in uniforms), V(mask)) for mask in range(1, (1 << V.size) - 1)]
+    out = []
+    for lam in polytope.simplex_cut_vertices(len(uniforms), rows):
+        mass = [F(0)] * V.size
+        for weight, u in zip(lam, uniforms):
+            for w in range(V.size):
+                mass[w] += weight * u.mass[w]
+        out.append(Prob(tuple(mass)))
+    return tuple(sorted(out, key=lambda p: p.mass))
+
+
+def _transient_systems(seed, m_low, m_high, count):
+    # maps with a transient point, under invariant envelopes (null off the
+    # cycles) and under arbitrary ones (charging transient points too)
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(m_low, m_high)
+        T = generate.random_transformation(rng, m)
+        if space.is_invertible(T):
+            continue
+        if len(out) % 2:
+            V = envelope([generate.random_prob(rng, m) for _ in range(rng.randint(1, 4))])
+        else:
+            V = generate.random_upper_prob(rng, T)
+        out.append((V, T))
+    return out
+
+
+def test_support_reduction_matches_the_oracle_up_to_four_points():
+    for V, T in _transient_systems(7100, 2, 4, 60):
+        assert [P.mass for P in core_vertices(V)] == oracle.oracle_core_vertices(V.table)
+        assert invariant_core_vertices(V, T) == _full_invariant_core(V, T)
+
+
+def test_support_reduction_matches_the_full_polytope_at_five_and_six_points():
+    reduced = 0
+    for V, T in _transient_systems(7200, 5, 6, 16):
+        reduced += null_support(V) != space.full_mask(V.size)
+        assert core_vertices(V) == _full_core(V)
+        assert invariant_core_vertices(V, T) == _full_invariant_core(V, T)
+    assert reduced >= 8
+
+
+def test_core_enumeration_runs_on_the_support(monkeypatch):
+    calls = []
+    real = polytope.simplex_cut_vertices
+
+    def spy(dim, rows):
+        calls.append((dim, len(rows)))
+        return real(dim, rows)
+
+    monkeypatch.setattr(polytope, "simplex_cut_vertices", spy)
+    reduced = 0
+    for V, T in _transient_systems(7300, 3, 6, 20):
+        S = null_support(V)
+        s = S.bit_count()
+        reduced += s < V.size
+        calls.clear()
+        capacity.core_vertices.__wrapped__(V)
+        [(dim, nrows)] = calls
+        assert dim == s and nrows <= 2**s - 2
+        cycles_in_s = [u for u in measure.ergodic_probabilities(T) if u.support() & ~S == 0]
+        calls.clear()
+        capacity.invariant_core_vertices.__wrapped__(V, T)
+        if cycles_in_s:
+            [(dim, nrows)] = calls
+            assert dim == len(cycles_in_s) and nrows <= 2**s - 2
+        else:
+            assert calls == []
+    assert reduced >= 10
+
+
+def test_core_vertices_refuses_a_vertex_outside_the_core(monkeypatch):
+    # a faulty enumeration cannot get past the check of the lifted
+    # vertices against the bounds of V
+    V = envelope([prob("1/2", "1/2", 0)])
+    monkeypatch.setattr(polytope, "simplex_cut_vertices", lambda dim, rows: [(F(1), F(0))])
+    with pytest.raises(InternalVerificationError):
+        capacity.core_vertices.__wrapped__(V)
 
 
 def test_choquet_integral_of_indicators_is_the_table(two_blocks):

@@ -179,6 +179,22 @@ def test_decompose_probability_flag(tmp_path):
     assert report_of(proc)["coefficients"] == ["3/4", "1/4", "0/1"]
 
 
+@pytest.mark.parametrize(
+    "mass, message",
+    [
+        (["1/2", "1/4", "1/8", "1/16"], "masses sum to"),
+        (["3/4", "-1/4", "1/4", "1/4"], "negative mass"),
+    ],
+)
+def test_decompose_probability_flag_rejects_non_probability(tmp_path, mass, message):
+    sys_path = write(tmp_path, "sys.json", TWO_BLOCKS)
+    p_path = write(tmp_path, "p.json", mass)
+    proc = run_cli("decompose", sys_path, "--probability", p_path)
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_decompose_invariant_only_mode(tmp_path):
     doc = {
         "omega_size": 2,
