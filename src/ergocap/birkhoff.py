@@ -82,18 +82,34 @@ class StepChoquet(NamedTuple):
     telescoped: Fraction
 
 
+def _running_unions(
+    steps: list[tuple[Fraction, SubsetMask]]
+) -> tuple[tuple[Fraction, SubsetMask], ...]:
+    """(level, cell) steps turned into (level, union of the cells so far)."""
+    out = []
+    union = 0
+    for level, cell in steps:
+        union |= cell
+        out.append((level, union))
+    return tuple(out)
+
+
 def _telescope(
-    V: UpperProb, B: SubsetMask, ordered: list[tuple[Fraction, SubsetMask]]
+    V: UpperProb, B: SubsetMask, steps: tuple[tuple[Fraction, SubsetMask], ...]
 ) -> Fraction:
+    """sum_k level_k (V(U_k cap B) - V(U_{k-1} cap B)) over running unions U_k."""
     total = ZERO
-    prefix = 0
     prev = ZERO
-    for level, cell in ordered:
-        prefix |= cell
-        cur = V(prefix & B)
+    for level, union in steps:
+        cur = V.table[union & B]
         total += level * (cur - prev)
         prev = cur
     return total
+
+
+def _ranked(levels: tuple[Fraction, ...], cells: Partition) -> list[tuple[Fraction, SubsetMask]]:
+    """(level, cell) pairs sorted by decreasing level, ties in index order."""
+    return sorted(zip(levels, cells.cells), key=lambda lc: lc[0], reverse=True)
 
 
 def comonotone_step_choquet(
@@ -112,8 +128,53 @@ def comonotone_step_choquet(
         for w in space.points(cell & B):
             g[w] = level
     value = choquet_integral(V, FunctionOnSpace(tuple(g)))
-    ordered = sorted(zip(levels, cells.cells), key=lambda lc: lc[0], reverse=True)
-    return StepChoquet(value, _telescope(V, B, ordered))
+    return StepChoquet(value, _telescope(V, B, _running_unions(_ranked(levels, cells))))
+
+
+# ---------------------------------------------------------------- product rules
+#
+# A product rule compares, for a pair (B, C), a limit built from the
+# hit-limit vector h_C = birkhoff_limit(T, 1_C) with a closed form built
+# from the levels Q_j(C).  Both depend on C alone, so a sweep over a
+# family of pairs works them out once per C (`hit_limits`), the data of
+# a probability once per probability (`measure_side`), and then runs one
+# row of pairs (B, C) per B, with C over the family.  A row keeps the
+# results of 2^m pairs alive instead of 4^m.  The per-pair functions
+# further down are the same pieces on a one-set family.
+
+
+class HitLimit(NamedTuple):
+    """What every product-rule pair with second set C shares.
+
+    `hits` is birkhoff_limit(T, 1_C) pointwise and `levels` are the
+    Q_j(C) in cell index order.  `ranked` and `indexed` are the
+    telescoping steps (Q_j(C), running union of cells), with the cells
+    sorted by decreasing level (ties in index order) and in index order.
+    """
+
+    C: SubsetMask
+    hits: tuple[Fraction, ...]
+    levels: tuple[Fraction, ...]
+    ranked: tuple[tuple[Fraction, SubsetMask], ...]
+    indexed: tuple[tuple[Fraction, SubsetMask], ...]
+
+
+def hit_limits(
+    T: Transformation, cells: Partition, measures: tuple[Prob, ...], family
+) -> tuple[HitLimit, ...]:
+    """The per-C data of the product rule, for every C in the family."""
+    if cells.size != T.size:
+        raise ValueError("partition and map live on different spaces")
+    if len(measures) != len(cells):
+        raise ValueError("one measure per cell required")
+    out = []
+    for C in family:
+        hits = birkhoff_limit(T, capacity.indicator(C, T.size)).values
+        levels = tuple(Q(C) for Q in measures)
+        ranked = _running_unions(_ranked(levels, cells))
+        indexed = _running_unions(list(zip(levels, cells.cells)))
+        out.append(HitLimit(C, hits, levels, ranked, indexed))
+    return tuple(out)
 
 
 class IndependenceChoquet(NamedTuple):
@@ -123,6 +184,74 @@ class IndependenceChoquet(NamedTuple):
     rhs_unsorted: Fraction
     order_sensitive: bool
     trace: tuple[Fraction, ...]
+
+
+def choquet_row(
+    V: UpperProb, B: SubsetMask, limits: tuple[HitLimit, ...]
+) -> list[IndependenceChoquet]:
+    """The Choquet product rule on the pairs (B, C), one per C of `limits`.
+
+    lhs integrates 1_B * h_C against V; rhs telescopes V over running
+    unions of cells sorted by decreasing Q_j(C), and rhs_unsorted does the
+    same in index order, with order_sensitive flagging any gap between
+    the two.
+    """
+    out = []
+    for c in limits:
+        g = FunctionOnSpace(tuple(h if B >> w & 1 else ZERO for w, h in enumerate(c.hits)))
+        lhs = choquet_integral(V, g)
+        rhs = _telescope(V, B, c.ranked)
+        rhs_unsorted = _telescope(V, B, c.indexed)
+        out.append(IndependenceChoquet(lhs, rhs, lhs == rhs, rhs_unsorted, rhs != rhs_unsorted, ()))
+    return out
+
+
+class MeasureSide(NamedTuple):
+    """A probability P with the weights P(w) h_C(w), one tuple per C of the limits."""
+
+    P: Prob
+    cells: Partition
+    weights: tuple[tuple[Fraction, ...], ...]
+
+
+def measure_side(P: Prob, cells: Partition, limits: tuple[HitLimit, ...]) -> MeasureSide:
+    """The per-probability data of the product rule for P."""
+    if P.size != cells.size:
+        raise ValueError("measure and partition live on different spaces")
+    weights = tuple(tuple(p * h for p, h in zip(P.mass, c.hits)) for c in limits)
+    return MeasureSide(P, cells, weights)
+
+
+def core_side(V: UpperProb, P: Prob, cells: Partition, limits: tuple[HitLimit, ...]) -> MeasureSide:
+    """`measure_side` for a core member of V; membership is checked here, once."""
+    if not capacity.core_contains(V, P):
+        raise ValueError("P is not in the core")
+    return measure_side(P, cells, limits)
+
+
+class IndependencePair(NamedTuple):
+    lhs: Fraction
+    rhs: Fraction
+    equal: bool
+
+
+def measure_row(
+    side: MeasureSide, B: SubsetMask, limits: tuple[HitLimit, ...]
+) -> list[IndependencePair]:
+    """The product rule for one probability on the pairs (B, C), one per C of `limits`.
+
+    lhs is the closed-form Cesaro limit sum_{w in B} P(w) h_C(w) (see
+    `cesaro_hit_limit`); rhs is sum_j Q_j(C) P(A_j cap B), with the
+    masses P(A_j cap B) formed once for the row.
+    """
+    pts = tuple(space.points(B))
+    masses = [side.P(cell & B) for cell in side.cells]
+    out = []
+    for c, weights in zip(limits, side.weights):
+        lhs = sum((weights[w] for w in pts), ZERO)
+        rhs = sum((q * x for q, x in zip(c.levels, masses)), ZERO)
+        out.append(IndependencePair(lhs, rhs, lhs == rhs))
+    return out
 
 
 def asymptotic_independence_choquet(
@@ -135,62 +264,36 @@ def asymptotic_independence_choquet(
 ) -> IndependenceChoquet:
     """Limit of int 1_B (1_C . T^i) dV against its telescoping closed form.
 
-    lhs integrates the exact pointwise limit 1_B * birkhoff_limit(T, 1_C).
-    rhs telescopes V over running unions of cells sorted by decreasing
-    Q_j(C); the index-order variant is reported as rhs_unsorted, with
-    order_sensitive flagging any gap between the two.  trace, when
-    requested, holds the exact finite-N integrals for N = 1..trace_to.
+    `choquet_row` on the single pair (B, C).  trace, when requested,
+    holds the exact finite-N integrals for N = 1..trace_to.
     """
     m = T.size
-    ind_b = capacity.indicator(B, m)
-    limit_c = birkhoff_limit(T, capacity.indicator(C, m))
-    g = FunctionOnSpace(tuple(b * l for b, l in zip(ind_b.values, limit_c.values)))
-    lhs = choquet_integral(V, g)
-
-    levels = tuple(Q(C) for Q in fec.measures)
-    rhs = comonotone_step_choquet(V, B, fec.partition, levels).telescoped
-    rhs_unsorted = _telescope(V, B, list(zip(levels, fec.partition.cells)))
-
+    (out,) = choquet_row(V, B, hit_limits(T, fec.partition, fec.measures, (C,)))
+    if trace_to <= 0:
+        return out
     trace = []
-    if trace_to > 0:
-        hits = [ZERO] * m
-        masks = C
-        for n in range(1, trace_to + 1):
-            for w in space.points(masks):
-                hits[w] += 1
-            masks = space.preimage(T, masks)
-            avg = tuple(
-                (ind_b.values[w] * hits[w]) / n for w in range(m)
-            )
-            trace.append(choquet_integral(V, FunctionOnSpace(avg)))
-    return IndependenceChoquet(lhs, rhs, lhs == rhs, rhs_unsorted, rhs != rhs_unsorted, tuple(trace))
-
-
-class IndependenceCore(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
+    hits = [ZERO] * m
+    masks = C
+    for n in range(1, trace_to + 1):
+        for w in space.points(masks):
+            hits[w] += 1
+        masks = space.preimage(T, masks)
+        avg = tuple(hits[w] / n if B >> w & 1 else ZERO for w in range(m))
+        trace.append(choquet_integral(V, FunctionOnSpace(avg)))
+    return out._replace(trace=tuple(trace))
 
 
 def cesaro_hit_limit(P: Prob, T: Transformation, B: SubsetMask, C: SubsetMask) -> Fraction:
     """Exact Cesaro limit of i -> P(B cap T^{-i} C).
 
-    The sequence is eventually periodic (preperiod at most the longest
-    approach to a cycle, period dividing the cycle-length lcm), so the
-    limit is one full period's mean past the preperiod.
+    P(B cap T^{-i}C) = sum_{w in B} P(w) 1_C(T^i w), and the Cesaro mean
+    of 1_C(T^i w) over i is birkhoff_limit(T, 1_C)(w), so the limit is
+    the closed form sum_{w in B} P(w) birkhoff_limit(T, 1_C)(w).
     """
     if P.size != T.size:
         raise ValueError("measure and map live on different spaces")
-    burn = space.preperiod_bound(T)
-    period = space.period_lcm(T)
-    mask = C
-    for _ in range(burn):
-        mask = space.preimage(T, mask)
-    total = ZERO
-    for _ in range(period):
-        total += P(B & mask)
-        mask = space.preimage(T, mask)
-    return total / period
+    hits = birkhoff_limit(T, capacity.indicator(C, T.size)).values
+    return sum((P.mass[w] * hits[w] for w in space.points(B)), ZERO)
 
 
 def asymptotic_independence_core(
@@ -200,12 +303,11 @@ def asymptotic_independence_core(
     P: Prob,
     B: SubsetMask,
     C: SubsetMask,
-) -> IndependenceCore:
-    """Cesaro limit of P(B cap T^{-i}C) against sum_j Q_j(C) P(A_j cap B)."""
-    if not capacity.core_contains(V, P):
-        raise ValueError("P is not in the core")
-    lhs = cesaro_hit_limit(P, T, B, C)
-    rhs = sum(
-        (Q(C) * P(cell & B) for Q, cell in zip(fec.measures, fec.partition)), ZERO
-    )
-    return IndependenceCore(lhs, rhs, lhs == rhs)
+) -> IndependencePair:
+    """Cesaro limit of P(B cap T^{-i}C) against sum_j Q_j(C) P(A_j cap B).
+
+    `measure_row` on the single pair (B, C); P must lie in the core.
+    """
+    limits = hit_limits(T, fec.partition, fec.measures, (C,))
+    (out,) = measure_row(core_side(V, P, fec.partition, limits), B, limits)
+    return out

@@ -68,13 +68,6 @@ def indicator(mask: SubsetMask, size: int) -> FunctionOnSpace:
     return FunctionOnSpace(tuple(ONE if mask >> w & 1 else ZERO for w in range(size)))
 
 
-def compose_with_map(f: FunctionOnSpace, T: Transformation) -> FunctionOnSpace:
-    """The function w -> f(T(w))."""
-    if f.size != T.size:
-        raise ValueError("function and map live on different spaces")
-    return FunctionOnSpace(tuple(f.values[T.table[w]] for w in range(T.size)))
-
-
 def _scaled_subset_sums(mass: tuple[Fraction, ...], den: int) -> list[int]:
     """den * P(A) for every bitmask A; den must be a common denominator of the masses."""
     nums = [x.numerator * (den // x.denominator) for x in mass]
@@ -286,9 +279,8 @@ def is_invariant_capacity(V: UpperProb, T: Transformation) -> bool:
     """Whether V(preimage(T, A)) == V(A) for every subset A."""
     if T.size != V.size:
         raise ValueError("map and capacity live on different spaces")
-    return all(
-        V.table[space.preimage(T, mask)] == V.table[mask] for mask in range(len(V.table))
-    )
+    table = V.table
+    return all(table[pre] == value for pre, value in zip(space.preimage_table(T), table))
 
 
 def null_support(V: UpperProb) -> SubsetMask:

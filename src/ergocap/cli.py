@@ -5,8 +5,9 @@ Input is a single JSON document with rationals written as "p/q" strings,
 parse time so exactness is a wire-level contract.  Every report is a
 machine block (canonical JSON, keys sorted, rationals as lowest-terms
 "p/q") optionally followed by a human-readable block.  Exit codes:
-0 success, 1 input error, 2 reported precondition failure (including a
-system that turns out not to have finite ergodic components).
+0 success, 1 input error (including an --nmax above MAX_NMAX), 2 reported
+precondition failure (including a system that turns out not to have
+finite ergodic components).
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ COMMANDS = (
     "oracle-verify",
 )
 
+# Largest --nmax accepted: trace lengths and oracle-verify instance counts
+# past it are refused as input errors rather than run for hours.
+MAX_NMAX = 10_000
+
 _RATIONAL_RE = re.compile(r"^\s*-?\d+\s*(/\s*-?\d+\s*)?$")
 
 
@@ -56,6 +61,8 @@ def _load_json(path: str):
         raise InputError(path, str(exc))
     except json.JSONDecodeError as exc:
         raise InputError(path, f"invalid JSON: {exc}")
+    except ValueError as exc:  # undecodable bytes, or an integer past int()'s digit limit
+        raise InputError(path, str(exc))
 
 
 def _rational(value, path: str) -> Fraction:
@@ -67,10 +74,13 @@ def _rational(value, path: str) -> Fraction:
         if not _RATIONAL_RE.match(value):
             raise InputError(path, f"malformed rational string {value!r}")
         num, _, den = value.partition("/")
-        d = int(den) if den.strip() else 1
+        try:
+            n, d = int(num), int(den) if den.strip() else 1
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(path, str(exc))
         if d == 0:
             raise InputError(path, "zero denominator")
-        return Fraction(int(num), d)
+        return Fraction(n, d)
     if isinstance(value, list):
         if len(value) != 2 or not all(isinstance(x, int) and not isinstance(x, bool) for x in value):
             raise InputError(path, "rational pair must be two integers [num, den]")
@@ -345,6 +355,18 @@ def _cmd_koopman(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
     return 0, report, _table(rows)
 
 
+def _running_averages(T: Transformation, f: FunctionOnSpace, w: int, nmax: int) -> list[Fraction]:
+    """finite_average(T, f, w, n) for n = 1..nmax, from one running sum."""
+    out = []
+    total = Fraction(0)
+    x = w
+    for n in range(1, nmax + 1):
+        total += f.values[x]
+        x = T(x)
+        out.append(total / n)
+    return out
+
+
 def _cmd_birkhoff(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
     V = _require_generators(desc)
     T = desc.T
@@ -365,10 +387,7 @@ def _cmd_birkhoff(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
         ),
     }
     if args.nmax > 0:
-        report["trace"] = [
-            _vec(birkhoff.finite_average(T, f, w, n) for n in range(1, args.nmax + 1))
-            for w in range(desc.size)
-        ]
+        report["trace"] = [_vec(_running_averages(T, f, w, args.nmax)) for w in range(desc.size)]
     if not capacity.is_invariant_capacity(V, T):
         report["status"] = "precondition-failure"
         report["reason"] = "capacity is not invariant under the map"
@@ -418,12 +437,12 @@ def _cmd_independence(desc: SystemDescription, args) -> tuple[int, dict, list[st
         report["reason"] = "an invariant set has value strictly between 0 and 1"
         return 2, report, _table([("FEC", "no")])
     family = _pair_family(desc.size, result.partition.cells)
+    limits = birkhoff.hit_limits(T, result.partition, result.measures, family)
     violations = []
     order_sensitive = 0
     checked = 0
     for b in family:
-        for c in family:
-            out = birkhoff.asymptotic_independence_choquet(V, T, result, b, c)
+        for c, out in zip(family, birkhoff.choquet_row(V, b, limits)):
             checked += 1
             if out.order_sensitive:
                 order_sensitive += 1
@@ -435,9 +454,9 @@ def _cmd_independence(desc: SystemDescription, args) -> tuple[int, dict, list[st
     core_violations = []
     core_checked = 0
     for P in verts:
+        side = birkhoff.core_side(V, P, result.partition, limits)
         for b in family:
-            for c in family:
-                out = birkhoff.asymptotic_independence_core(V, T, result, P, b, c)
+            for c, out in zip(family, birkhoff.measure_row(side, b, limits)):
                 core_checked += 1
                 if not out.equal and len(core_violations) < 10:
                     core_violations.append(
@@ -515,9 +534,10 @@ def _cmd_noninvariant(desc: SystemDescription, args) -> tuple[int, dict, list[st
     family = _pair_family(desc.size, part.cells.cells)
     violations = []
     checked = 0
+    limits = birkhoff.hit_limits(T, part.cells, part.limits, family)
+    side = birkhoff.measure_side(sys_.P, part.cells, limits)
     for b in family:
-        for c in family:
-            out = noninvariant.noninvariant_independence(sys_, b, c, part)
+        for c, out in zip(family, birkhoff.measure_row(side, b, limits)):
             checked += 1
             if not out.equal and len(violations) < 10:
                 violations.append(
@@ -649,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
         "--nmax",
         type=int,
         default=0,
-        help="trace length; for oracle-verify, the number of random instances",
+        help=f"trace length; for oracle-verify, the number of random instances (at most {MAX_NMAX})",
     )
     args = parser.parse_args(argv)
 
@@ -663,6 +683,8 @@ def main(argv: list[str] | None = None) -> int:
         "noninvariant": _cmd_noninvariant,
     }
     try:
+        if args.nmax > MAX_NMAX:
+            raise InputError("--nmax", f"must be at most {MAX_NMAX}, got {args.nmax}")
         if args.command == "oracle-verify":
             code, report, human = _cmd_oracle_verify(args)
         else:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from . import capacity, fec, measure, space
+from . import birkhoff, capacity, fec, measure, space
+from .birkhoff import IndependencePair
 from .capacity import UpperProb, envelope
 from .errors import InternalVerificationError
 from .fec import FECResult, NotFEC
@@ -235,22 +235,14 @@ def noninvariant_lln(
     part: IrreduciblePartition | None = None,
 ) -> bool:
     """Orbit averages hit the matching cell mean at every P-charged point."""
-    from .birkhoff import birkhoff_limit
-
     if part is None:
         part = irreducible_partition(sys.P, sys.T)
-    limit = birkhoff_limit(sys.T, f)
+    limit = birkhoff.birkhoff_limit(sys.T, f)
     means = [measure.expectation(Q, f.values) for Q in part.limits]
     for w in space.points(sys.P.support()):
         if limit.values[w] != means[part.cells.cell_index(w)]:
             return False
     return True
-
-
-class IndependencePair(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
 
 
 def noninvariant_independence(
@@ -260,12 +252,8 @@ def noninvariant_independence(
     part: IrreduciblePartition | None = None,
 ) -> IndependencePair:
     """Cesaro limit of P(B cap T^{-i}C) against sum_j Q_j(C) P(A_j cap B)."""
-    from .birkhoff import cesaro_hit_limit
-
     if part is None:
         part = irreducible_partition(sys.P, sys.T)
-    lhs = cesaro_hit_limit(sys.P, sys.T, B, C)
-    rhs = sum(
-        (Q(C) * sys.P(cell & B) for Q, cell in zip(part.limits, part.cells)), ZERO
-    )
-    return IndependencePair(lhs, rhs, lhs == rhs)
+    limits = birkhoff.hit_limits(sys.T, part.cells, part.limits, (C,))
+    (out,) = birkhoff.measure_row(birkhoff.measure_side(sys.P, part.cells, limits), B, limits)
+    return out

@@ -43,10 +43,6 @@ def points(mask: SubsetMask) -> Iterator[int]:
         mask ^= low
 
 
-def point_tuple(mask: SubsetMask) -> tuple[int, ...]:
-    return tuple(points(mask))
-
-
 def mask_of(pts) -> SubsetMask:
     out = 0
     for p in pts:
@@ -146,10 +142,19 @@ def preimage(T: Transformation, mask: SubsetMask) -> SubsetMask:
     return out
 
 
-def forward_image(T: Transformation, mask: SubsetMask) -> SubsetMask:
-    out = 0
-    for w in points(mask):
-        out |= 1 << T.table[w]
+def preimage_table(T: Transformation) -> list[SubsetMask]:
+    """preimage(T, A) for every bitmask A, indexed by A.
+
+    Built with the low-bit recurrence pre[A] = pre[A minus its lowest
+    point] | pre[{lowest point}], one OR per mask.
+    """
+    single = [0] * T.size
+    for w, img in enumerate(T.table):
+        single[img] |= 1 << w
+    out = [0] * (1 << T.size)
+    for mask in range(1, len(out)):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] | single[low.bit_length() - 1]
     return out
 
 

@@ -1,19 +1,24 @@
 """Orbit averages, the multi-valued LLN, and asymptotic independence."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergocap import generate, measure, space
+from ergocap import capacity, generate, measure, space
 from ergocap.birkhoff import (
     asymptotic_independence_choquet,
     asymptotic_independence_core,
     birkhoff_limit,
     cesaro_hit_limit,
+    choquet_row,
     comonotone_step_choquet,
+    core_side,
     finite_average,
+    hit_limits,
+    measure_row,
     verify_multivalue_lln,
 )
 from ergocap.capacity import FunctionOnSpace, envelope, indicator
@@ -231,3 +236,80 @@ def test_cesaro_hit_limit_bounds_long_averages(seed):
         total += P(B & mask)
         mask = space.preimage(T, mask)
     assert abs(total / n - limit) <= F(burn, n)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25)
+def test_sweep_rows_match_the_per_pair_functions(seed):
+    # the sweep's hoisted per-C and per-P pieces against one public call per pair
+    rng = Random(seed)
+    m = rng.randint(2, 5)
+    T = generate.random_transformation(rng, m)
+    V = generate.random_upper_prob(rng, T)
+    fec = fec_decompose(V, T)
+    if not isinstance(fec, FECResult):
+        return
+    family = list(range(1 << m))
+    limits = hit_limits(T, fec.partition, fec.measures, family)
+    pairs = [(B, C) for B in family for C in family]
+    picked = pairs if m <= 3 else rng.sample(pairs, 60)
+    verts = capacity.invariant_core_vertices(V, T)
+    sides = [core_side(V, P, fec.partition, limits) for P in verts]
+    for B, C in picked:
+        swept = choquet_row(V, B, limits)[C]
+        single = asymptotic_independence_choquet(V, T, fec, B, C)
+        assert (swept.lhs, swept.rhs, swept.rhs_unsorted) == (
+            single.lhs, single.rhs, single.rhs_unsorted
+        )
+        assert swept.equal
+        for P, side in zip(verts, sides):
+            swept = measure_row(side, B, limits)[C]
+            single = asymptotic_independence_core(V, T, fec, P, B, C)
+            assert (swept.lhs, swept.rhs) == (single.lhs, single.rhs)
+            assert swept.lhs == cesaro_hit_limit(P, T, B, C)
+            assert swept.equal
+
+
+def test_sweep_rows_run_in_family_order(two_blocks, swap_pairs):
+    fec = fec_decompose(two_blocks, swap_pairs)
+    family = [0b1111, 0b0011, 0b1100, 0b0001]
+    limits = hit_limits(swap_pairs, fec.partition, fec.measures, family)
+    assert [c.C for c in limits] == family
+    row = choquet_row(two_blocks, 0b1111, limits)
+    assert [out.rhs for out in row] == [1, 1, 1, F(1, 2)]
+    assert [out.order_sensitive for out in row] == [False, False, True, False]
+
+
+def test_core_side_refuses_a_measure_outside_the_core(two_blocks, swap_pairs):
+    fec = fec_decompose(two_blocks, swap_pairs)
+    limits = hit_limits(swap_pairs, fec.partition, fec.measures, [0b0001])
+    with pytest.raises(ValueError):
+        core_side(two_blocks, Prob((F(1), F(0), F(0), F(0))), fec.partition, limits)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40)
+def test_cesaro_hit_limit_is_a_literal_period_mean(seed):
+    # past m steps every orbit is on its cycle, and lcm(1..m) is a multiple
+    # of every cycle length, so one such window is the exact Cesaro limit
+    rng = Random(seed)
+    m = rng.randint(1, 6)
+    T = generate.random_transformation(rng, m)
+    P = generate.random_prob(rng, m)
+    B = rng.randrange(1 << m)
+    C = rng.randrange(1 << m)
+    burn = m
+    period = lcm(*range(1, m + 1))
+    total = F(0)
+    for w in range(m):
+        if not B >> w & 1:
+            continue
+        x = w
+        for _ in range(burn):
+            x = T.table[x]
+        hits = 0
+        for _ in range(period):
+            hits += C >> x & 1
+            x = T.table[x]
+        total += P.mass[w] * F(hits, period)
+    assert cesaro_hit_limit(P, T, B, C) == total

@@ -5,8 +5,15 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from ergocap.birkhoff import finite_average
+from ergocap.capacity import FunctionOnSpace
+from ergocap.cli import MAX_NMAX
+from ergocap.space import Transformation
 
 RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
 
@@ -309,3 +316,92 @@ def test_oracle_verify(tmp_path):
     assert report["checks"]["choquet"] == 40
     assert report["checks"]["fec"] == 20
     assert report["mismatches"] == []
+
+
+def test_oversized_rational_is_an_input_error(tmp_path):
+    # int() refuses strings past its digit limit; that is bad input, not a precondition
+    huge = "1/" + "1" * 5000
+    doc = dict(TWO_BLOCKS, generators=[[huge, "1/2", 0, 0], [0, 0, "1/2", "1/2"]])
+    proc = run_cli("analyze", write(tmp_path, "sys.json", doc))
+    assert proc.returncode == 1
+    assert "generators[0][0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_oversized_integer_literal_is_an_input_error(tmp_path):
+    path = tmp_path / "sys.json"
+    path.write_text('{"omega_size": ' + "9" * 5000 + "}")
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_nmax_above_the_bound_is_refused(tmp_path):
+    sys_path = write(tmp_path, "sys.json", TWO_BLOCKS)
+    f_path = write(tmp_path, "f.json", [1, 0, 0, 0])
+    for argv in (
+        ("birkhoff", sys_path, "--function", f_path),
+        ("independence", sys_path),
+        ("oracle-verify",),
+    ):
+        proc = run_cli(*argv, "--nmax", str(MAX_NMAX + 1))
+        assert proc.returncode == 1, argv
+        assert "--nmax" in proc.stderr
+        assert proc.stdout == ""
+    proc = run_cli("birkhoff", sys_path, "--function", f_path, "--nmax", str(MAX_NMAX))
+    assert proc.returncode == 0
+    assert len(report_of(proc)["trace"][0]) == MAX_NMAX
+
+
+def test_birkhoff_trace_is_the_finite_averages(tmp_path):
+    # 2 -> 1 -> 0 <-> 3: transient points, so the plain windows never close
+    doc = {
+        "omega_size": 4,
+        "map": [3, 0, 1, 0],
+        "generators": [["1/2", 0, 0, "1/2"]],
+    }
+    values = ["1/3", 2, "-1/2", 0]
+    proc = run_cli(
+        "birkhoff", write(tmp_path, "sys.json", doc),
+        "--function", write(tmp_path, "f.json", values), "--nmax", "9",
+    )
+    assert proc.returncode == 0
+    T = Transformation(tuple(doc["map"]))
+    f = FunctionOnSpace(tuple(Fraction(v) for v in values))
+    want = [
+        [f"{x.numerator}/{x.denominator}" for x in (finite_average(T, f, w, n) for n in range(1, 10))]
+        for w in range(4)
+    ]
+    assert report_of(proc)["trace"] == want
+
+
+README_SYSTEM = {
+    "omega_size": 4,
+    "map": [1, 0, 3, 2],
+    "generators": [
+        ["1/2", "1/2", 0, 0],
+        [0, 0, "1/2", "1/2"],
+    ],
+}
+
+
+def _golden(name: str) -> str:
+    return (Path(__file__).parent / "golden" / name).read_text()
+
+
+def test_independence_report_is_pinned_on_the_readme_system(tmp_path):
+    proc = run_cli("independence", write(tmp_path, "sys.json", README_SYSTEM), "--nmax", "4")
+    assert proc.returncode == 0
+    assert proc.stdout == _golden("readme_independence.txt")
+
+
+def test_noninvariant_report_is_pinned_on_the_readme_system(tmp_path):
+    doc = dict(README_SYSTEM, probability=["1/8", "3/8", "1/6", "1/3"])
+    proc = run_cli(
+        "noninvariant", write(tmp_path, "sys.json", doc),
+        "--function", write(tmp_path, "f.json", [1, 0, "1/2", "-1/3"]),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == _golden("readme_noninvariant.txt")

@@ -233,3 +233,23 @@ def test_independence_random_instances(seed):
     B = rng.randrange(1 << T.size)
     C = rng.randrange(1 << T.size)
     assert noninvariant_independence(NoninvariantSystem(P, T), B, C).equal
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=20)
+def test_independence_rows_match_the_per_pair_function(seed):
+    from ergocap.birkhoff import cesaro_hit_limit, hit_limits, measure_row, measure_side
+
+    P, T = random_invertible(seed, max_m=5)
+    sys = NoninvariantSystem(P, T)
+    part = irreducible_partition(P, T)
+    family = list(range(1 << T.size))
+    limits = hit_limits(T, part.cells, part.limits, family)
+    side = measure_side(P, part.cells, limits)
+    rng = Random(seed + 2)
+    for B in rng.sample(family, min(len(family), 6)):
+        for C, swept in zip(family, measure_row(side, B, limits)):
+            single = noninvariant_independence(sys, B, C, part)
+            assert (swept.lhs, swept.rhs) == (single.lhs, single.rhs)
+            assert swept.lhs == cesaro_hit_limit(P, T, B, C)
+            assert swept.equal

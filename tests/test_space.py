@@ -14,6 +14,7 @@ from ergocap.space import (
     is_invertible,
     mask_of,
     preimage,
+    preimage_table,
 )
 
 
@@ -36,6 +37,13 @@ def test_preimage_of_full_set_is_full():
 def test_preimage_table_scan():
     T = Transformation((1, 2, 0, 0))
     assert preimage(T, 0b0001) == mask_of([2, 3])
+
+
+@given(transformations(max_m=7))
+def test_preimage_table_matches_preimage(T):
+    table = preimage_table(T)
+    assert len(table) == 1 << T.size
+    assert table == [preimage(T, mask) for mask in range(1 << T.size)]
 
 
 def test_components_two_swaps():
