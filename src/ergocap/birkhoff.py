@@ -18,26 +18,14 @@ from .measure import Prob
 from .space import Partition, SubsetMask, Transformation
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def birkhoff_limit(T: Transformation, f: FunctionOnSpace) -> FunctionOnSpace:
     """Pointwise limit of (1/N) sum f(T^i w): the terminal-cycle average of f."""
     if f.size != T.size:
         raise ValueError("function and map live on different spaces")
-    averages = {}
-    for _, pts in space.cycles(T):
-        avg = sum((f.values[w] for w in pts), ZERO) / len(pts)
-        for w in pts:
-            averages[w] = avg
-    burn = space.preperiod_bound(T)
-    out = []
-    for w in range(T.size):
-        x = w
-        for _ in range(burn):
-            x = T(x)
-        out.append(averages[x])
-    return FunctionOnSpace(tuple(out))
+    averages = [sum((f.values[w] for w in pts), ZERO) / len(pts) for _, pts in T.cycles]
+    return FunctionOnSpace(tuple(averages[c] for c in T.cycle_of))
 
 
 def finite_average(
@@ -45,9 +33,9 @@ def finite_average(
 ) -> Fraction:
     """(1/n) sum of f over the orbit segment T^burn(w), ..., T^(burn+n-1)(w).
 
-    With burn >= preperiod_bound(T) and n a multiple of the cycle-length
-    lcm this equals birkhoff_limit exactly; the plain window (burn = 0)
-    only converges, it never closes the gap at points off their cycle.
+    With burn >= T.preperiod and n a multiple of T.period this equals
+    birkhoff_limit exactly; the plain window (burn = 0) only converges, it
+    never closes the gap at points off their cycle.
     """
     if n < 1:
         raise ValueError("average needs at least one term")
@@ -67,14 +55,20 @@ def verify_multivalue_lln(
     """Check the limit equals sum_j (int f dQ_j) 1_{A_j} at every support point."""
     if fec.partition.size != T.size or V.size != T.size:
         raise ValueError("capacity, map, and partition sizes disagree")
-    limit = birkhoff_limit(T, f)
-    supp = capacity.null_support(V)
-    means = [measure.expectation(Q, f.values) for Q in fec.measures]
-    for w in space.points(supp):
-        j = fec.partition.cell_index(w)
-        if limit.values[w] != means[j]:
-            return False
-    return True
+    return limit_is_cell_mean(T, f, fec.partition, fec.measures, capacity.null_support(V))
+
+
+def limit_is_cell_mean(
+    T: Transformation, f: FunctionOnSpace, cells: Partition, measures, support: SubsetMask
+) -> bool:
+    """Whether birkhoff_limit(T, f) is int f dQ_j at every support point of cell A_j.
+
+    The law of large numbers of both the capacity and the non-invariant
+    construction, with their own cells, measures and support.
+    """
+    limit = birkhoff_limit(T, f).values
+    means = [measure.expectation(Q, f.values) for Q in measures]
+    return all(limit[w] == means[cells.cell_index(w)] for w in space.points(support))
 
 
 class StepChoquet(NamedTuple):

@@ -239,16 +239,7 @@ def invariant_core_vertices(V: UpperProb, T: Transformation) -> tuple[Prob, ...]
             continue
         rows.append((coeffs, rhs))
     lam_verts = polytope.simplex_cut_vertices(len(uniforms), rows)
-    masses = []
-    for lam in lam_verts:
-        mass = [ZERO] * V.size
-        for c, weight in enumerate(lam):
-            if weight:
-                for w, v in enumerate(uniforms[c].mass):
-                    if v:
-                        mass[w] += weight * v
-        masses.append(mass)
-    return _checked(V, masses)
+    return _checked(V, [measure.mixture(lam, uniforms) for lam in lam_verts])
 
 
 def choquet_integral(V: UpperProb, f: FunctionOnSpace) -> Fraction:
@@ -261,18 +252,15 @@ def choquet_integral(V: UpperProb, f: FunctionOnSpace) -> Fraction:
     """
     if f.size != V.size:
         raise ValueError("function and capacity live on different spaces")
-    levels = sorted(set(f.values), reverse=True)
-    total = ZERO
+    values = f.values
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     mask = 0
-    for j, v in enumerate(levels):
-        for w, val in enumerate(f.values):
-            if val == v:
-                mask |= 1 << w
-        if j + 1 < len(levels):
-            total += (v - levels[j + 1]) * V.table[mask]
-        else:
-            total += v  # V(omega) = 1
-    return total
+    total = ZERO
+    for w, below in zip(order, order[1:]):
+        mask |= 1 << w
+        if values[below] != values[w]:
+            total += (values[w] - values[below]) * V.table[mask]
+    return total + values[order[-1]]  # V(omega) = 1
 
 
 def is_invariant_capacity(V: UpperProb, T: Transformation) -> bool:
@@ -280,7 +268,7 @@ def is_invariant_capacity(V: UpperProb, T: Transformation) -> bool:
     if T.size != V.size:
         raise ValueError("map and capacity live on different spaces")
     table = V.table
-    return all(table[pre] == value for pre, value in zip(space.preimage_table(T), table))
+    return all(table[pre] == value for pre, value in zip(T.preimage_table, table))
 
 
 def null_support(V: UpperProb) -> SubsetMask:

@@ -7,7 +7,9 @@ machine block (canonical JSON, keys sorted, rationals as lowest-terms
 "p/q") optionally followed by a human-readable block.  Exit codes:
 0 success, 1 input error (including an --nmax above MAX_NMAX), 2 reported
 precondition failure (including a system that turns out not to have
-finite ergodic components).
+finite ergodic components), 3 internal error: one of the library's own
+exactness checks failed (a bug, reported as status "internal-error"
+with the failed check as its reason, never as a traceback).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from random import Random
 
 from . import birkhoff, capacity, fec, generate, koopman, measure, noninvariant, oracle, space
 from .capacity import FunctionOnSpace, UpperProb
+from .errors import InternalVerificationError
 from .fec import FECResult, NotFEC
 from .measure import Prob
 from .space import Transformation
@@ -224,6 +227,29 @@ def _fec_report(result: FECResult | NotFEC) -> dict:
     }
 
 
+def _invariant(report: dict, V: UpperProb, T: Transformation) -> bool:
+    """Whether V is invariant under T; if not, the report says so as a precondition failure."""
+    if capacity.is_invariant_capacity(V, T):
+        return True
+    report["status"] = "precondition-failure"
+    report["reason"] = "capacity is not invariant under the map"
+    return False
+
+
+def _decomposition(report: dict, V: UpperProb, T: Transformation) -> FECResult | NotFEC | None:
+    """fec_decompose(V, T) after the invariance check, or None when V is not invariant.
+
+    Either failure is recorded in the report's status and reason.
+    """
+    if not _invariant(report, V, T):
+        return None
+    result = fec.fec_decompose(V, T)
+    if isinstance(result, NotFEC):
+        report["status"] = "not-fec"
+        report["reason"] = "an invariant set has value strictly between 0 and 1"
+    return result
+
+
 def _cmd_analyze(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
     V = _require_generators(desc)
     T = desc.T
@@ -234,13 +260,10 @@ def _cmd_analyze(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
         "status": "ok",
         "reason": None,
     }
-    if not capacity.is_invariant_capacity(V, T):
-        report["status"] = "precondition-failure"
-        report["reason"] = "capacity is not invariant under the map"
-        report["invariant"] = False
+    result = _decomposition(report, V, T)
+    report["invariant"] = result is not None
+    if result is None:
         return 2, report, _table([("invariant", "no")])
-    result = fec.fec_decompose(V, T)
-    report["invariant"] = True
     report["zero_one"] = fec.zero_one_condition(V, T)
     report["fz_ergodic"] = fec.is_fz_ergodic(V, T)
     report["fec"] = _fec_report(result)
@@ -261,8 +284,6 @@ def _cmd_analyze(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
         ("koopman multiplicity", str(report["koopman_multiplicity"])),
     ]
     if isinstance(result, NotFEC):
-        report["status"] = "not-fec"
-        report["reason"] = "an invariant set has value strictly between 0 and 1"
         rows.append(("FEC", "no"))
         rows.append(
             ("witness", f"{set(_pts(result.witness))} value {_frac(result.value)}")
@@ -278,16 +299,12 @@ def _cmd_check_fec(desc: SystemDescription, args) -> tuple[int, dict, list[str]]
     V = _require_generators(desc)
     T = desc.T
     report: dict = {"command": "check-fec", "status": "ok", "reason": None}
-    if not capacity.is_invariant_capacity(V, T):
-        report["status"] = "precondition-failure"
-        report["reason"] = "capacity is not invariant under the map"
+    result = _decomposition(report, V, T)
+    if result is None:
         return 2, report, _table([("invariant", "no")])
-    result = fec.fec_decompose(V, T)
     report["zero_one"] = fec.zero_one_condition(V, T)
     report["fec"] = _fec_report(result)
     if isinstance(result, NotFEC):
-        report["status"] = "not-fec"
-        report["reason"] = "an invariant set has value strictly between 0 and 1"
         human = _table(
             [
                 ("FEC", "no"),
@@ -337,9 +354,7 @@ def _cmd_koopman(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
     V = _require_generators(desc)
     T = desc.T
     report: dict = {"command": "koopman", "status": "ok", "reason": None}
-    if not capacity.is_invariant_capacity(V, T):
-        report["status"] = "precondition-failure"
-        report["reason"] = "capacity is not invariant under the map"
+    if not _invariant(report, V, T):
         return 2, report, _table([("invariant", "no")])
     matrix = koopman.koopman_matrix(T)
     basis = koopman.invariant_function_basis(V, T)
@@ -376,28 +391,22 @@ def _cmd_birkhoff(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
     report: dict = {"command": "birkhoff", "status": "ok", "reason": None}
     limit = birkhoff.birkhoff_limit(T, f)
     report["limit"] = _vec(limit.values)
-    burn = space.preperiod_bound(T)
-    length = space.period_lcm(T)
     report["exact_window"] = {
-        "burn": burn,
-        "length": length,
+        "burn": T.preperiod,
+        "length": T.period,
         "agrees": all(
-            birkhoff.finite_average(T, f, w, length, burn) == limit.values[w]
+            birkhoff.finite_average(T, f, w, T.period, T.preperiod) == limit.values[w]
             for w in range(desc.size)
         ),
     }
     if args.nmax > 0:
         report["trace"] = [_vec(_running_averages(T, f, w, args.nmax)) for w in range(desc.size)]
-    if not capacity.is_invariant_capacity(V, T):
-        report["status"] = "precondition-failure"
-        report["reason"] = "capacity is not invariant under the map"
+    result = _decomposition(report, V, T)
+    if result is None:
         report["lln"] = None
         return 2, report, _table([("limit", str(report["limit"])), ("invariant", "no")])
-    result = fec.fec_decompose(V, T)
     rows = [("limit", str(report["limit"]))]
     if isinstance(result, NotFEC):
-        report["status"] = "not-fec"
-        report["reason"] = "an invariant set has value strictly between 0 and 1"
         report["lln"] = None
         rows.append(("FEC", "no"))
         return 2, report, _table(rows)
@@ -427,14 +436,10 @@ def _cmd_independence(desc: SystemDescription, args) -> tuple[int, dict, list[st
     V = _require_generators(desc)
     T = desc.T
     report: dict = {"command": "independence", "status": "ok", "reason": None}
-    if not capacity.is_invariant_capacity(V, T):
-        report["status"] = "precondition-failure"
-        report["reason"] = "capacity is not invariant under the map"
+    result = _decomposition(report, V, T)
+    if result is None:
         return 2, report, _table([("invariant", "no")])
-    result = fec.fec_decompose(V, T)
     if isinstance(result, NotFEC):
-        report["status"] = "not-fec"
-        report["reason"] = "an invariant set has value strictly between 0 and 1"
         return 2, report, _table([("FEC", "no")])
     family = _pair_family(desc.size, result.partition.cells)
     limits = birkhoff.hit_limits(T, result.partition, result.measures, family)
@@ -581,10 +586,9 @@ def _cmd_oracle_verify(args) -> tuple[int, dict, list[str]]:
         T = generate.random_transformation(rng, m)
         V = generate.random_upper_prob(rng, T)
 
-        main_inv = space.invariant_sets(T)
         bump(
             "invariant_sets",
-            main_inv == oracle.oracle_invariant_sets(T.table),
+            list(T.invariant_sets) == oracle.oracle_invariant_sets(T.table),
             f"instance {k}",
         )
 
@@ -620,15 +624,13 @@ def _cmd_oracle_verify(args) -> tuple[int, dict, list[str]]:
         P = generate.random_prob(rng, m)
         A = generate.random_subset(rng, m)
         limit = measure.cesaro_limit(P, T)
-        tail = oracle.oracle_tail_average(
-            P.mass, T.table, A, space.preperiod_bound(T), 4 * space.period_lcm(T)
-        )
+        tail = oracle.oracle_tail_average(P.mass, T.table, A, T.preperiod, 4 * T.period)
         bump("cesaro", limit(A) == tail, f"instance {k}")
 
         S = generate.random_permutation(rng, m)
         Pj = generate.random_prob(rng, m)
         Vj = noninvariant.v_component(Pj, S)
-        L = space.period_lcm(S)
+        L = S.period
         ok = all(
             Vj.table[a]
             == oracle.oracle_window_sup(Pj.mass, S.table, a, 4 * L, 8 * L + 2)
@@ -695,6 +697,10 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except InternalVerificationError as exc:
+        report = {"command": args.command, "status": "internal-error", "reason": str(exc)}
+        _emit(report, _table([("internal error", str(exc))]), args.json_only)
+        return 3
     except (ValueError, fec.EmptyRestrictedCore) as exc:
         report = {
             "command": args.command,

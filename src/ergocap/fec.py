@@ -21,7 +21,6 @@ from .measure import Prob
 from .space import Partition, SubsetMask, Transformation
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class EmptyRestrictedCore(Exception):
@@ -89,7 +88,7 @@ def is_fz_ergodic(V: UpperProb, T: Transformation) -> bool:
     """Whether every preimage-fixed set is null for V or has null complement."""
     _require_invariant(V, T)
     m = V.size
-    for mask in space.invariant_sets(T):
+    for mask in T.invariant_sets:
         if V.table[mask] != 0 and V.table[space.complement(mask, m)] != 0:
             return False
     return True
@@ -98,7 +97,7 @@ def is_fz_ergodic(V: UpperProb, T: Transformation) -> bool:
 def zero_one_witness(V: UpperProb, T: Transformation) -> SubsetMask | None:
     """First preimage-fixed set (by mask order) with value strictly inside (0, 1)."""
     _require_invariant(V, T)
-    for mask in space.invariant_sets(T):
+    for mask in T.invariant_sets:
         if V.table[mask] not in (0, 1):
             return mask
     return None
@@ -150,7 +149,7 @@ def _minimal_full_cell(V: UpperProb, T: Transformation, remaining: SubsetMask) -
     Minimal by inclusion; among the minimal ones, least element then
     numeric mask break ties.
     """
-    comps = [c for c in space.components(T) if c & remaining == c]
+    comps = [c for c in T.components if c & remaining == c]
     candidates = []
     for choice in range(1, 1 << len(comps)):
         mask = 0
@@ -229,12 +228,7 @@ def decompose_invariant(
             f"no component structure: mask {fec.witness} has value {fec.value}"
         )
     coeffs = tuple(P(cell) for cell in fec.partition)
-    recon = [ZERO] * P.size
-    for a, Q in zip(coeffs, fec.measures):
-        if a:
-            for w, v in enumerate(Q.mass):
-                recon[w] += a * v
-    if tuple(recon) != P.mass:
+    if measure.mixture(coeffs, fec.measures) != P.mass:
         raise InternalVerificationError("cell-mass mixture of component measures missed P")
     return DecompositionResult(coeffs, fec.measures)
 
@@ -265,12 +259,7 @@ def invariant_vertices_decompose(V: UpperProb, T: Transformation) -> bool:
         weights = [v(q.support()) for q in ergo]
         if sum(weights) != 1:
             return False
-        recon = [ZERO] * v.size
-        for a, q in zip(weights, ergo):
-            if a:
-                for w, x in enumerate(q.mass):
-                    recon[w] += a * x
-        if tuple(recon) != v.mass:
+        if measure.mixture(weights, ergo) != v.mass:
             return False
     return True
 
@@ -296,11 +285,7 @@ def full_decomposition(V: UpperProb, T: Transformation, P: Prob) -> Decompositio
     n = len(qs)
     if n == 0:
         raise ValueError("the core contains no ergodic measure")
-    r_mass = [ZERO] * V.size
-    for q in qs:
-        for w, v in enumerate(q.mass):
-            r_mass[w] += v / n
-    R = Prob(tuple(r_mass))
+    R = Prob(measure.mixture([Fraction(1, n)] * n, qs))
 
     k, Pa, l, Ps = measure.lebesgue_decomposition_invariant(P, R, T)
 
@@ -319,15 +304,11 @@ def full_decomposition(V: UpperProb, T: Transformation, P: Prob) -> Decompositio
             coeffs[index[q.mass]] += k * a
 
     residual = Ps if l > 0 else None
-    recon = [ZERO] * P.size
-    for a, q in zip(coeffs, qs):
-        if a:
-            for w, v in enumerate(q.mass):
-                recon[w] += a * v
-    if residual is not None:
-        for w, v in enumerate(residual.mass):
-            recon[w] += l * v
-    if tuple(recon) != P.mass:
+    if residual is None:
+        recon = measure.mixture(coeffs, qs)
+    else:
+        recon = measure.mixture(coeffs + [l], qs + [residual])
+    if recon != P.mass:
         raise InternalVerificationError("mixture plus residual missed P")
 
     in_core: bool | None = None

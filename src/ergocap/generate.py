@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from . import measure, space
+from . import measure
 from .capacity import FunctionOnSpace, UpperProb, envelope
 from .measure import Prob
 from .space import Transformation
@@ -44,12 +44,7 @@ def random_invariant_prob(rng: Random, T: Transformation, wmax: int = 6) -> Prob
     uniforms = measure.ergodic_probabilities(T)
     w = _weights(rng, len(uniforms), wmax)
     s = sum(w)
-    mass = [Fraction(0)] * T.size
-    for weight, Q in zip(w, uniforms):
-        if weight:
-            for pt, v in enumerate(Q.mass):
-                mass[pt] += Fraction(weight, s) * v
-    return Prob(tuple(mass))
+    return Prob(measure.mixture([Fraction(x, s) for x in w], uniforms))
 
 
 def _orbit_cycle(seed: Prob, T: Transformation) -> list[Prob]:

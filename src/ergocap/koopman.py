@@ -29,15 +29,6 @@ class KoopmanMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def apply(self, f: FunctionOnSpace) -> FunctionOnSpace:
-        m = self.size
-        if f.size != m:
-            raise ValueError("function and matrix live on different spaces")
-        out = []
-        for w in range(m):
-            out.append(sum((c * f.values[j] for j, c in enumerate(self.rows[w]) if c), ZERO))
-        return FunctionOnSpace(tuple(out))
-
 
 def koopman_matrix(T: Transformation) -> KoopmanMatrix:
     rows = []
@@ -71,7 +62,7 @@ def invariant_function_basis(V: UpperProb, T: Transformation) -> list[FunctionOn
             raise ValueError("support of the capacity is not forward-closed under the map")
     sub = Transformation(tuple(index[T(w)] for w in pts))
     basis = []
-    for comp in space.components(sub):
+    for comp in sub.components:
         mask = 0
         for i in space.points(comp):
             mask |= 1 << pts[i]

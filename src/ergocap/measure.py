@@ -75,6 +75,21 @@ def subset_sums(mass: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def mixture(weights, probs) -> tuple[Fraction, ...]:
+    """The mass vector sum_i weights[i] * probs[i], skipping zero weights.
+
+    The weights are not required to sum to 1, so a reconstruction check
+    can compare the result with a mass vector and report its own error.
+    """
+    out = [ZERO] * probs[0].size
+    for a, P in zip(weights, probs, strict=True):
+        if a:
+            for w, v in enumerate(P.mass):
+                if v:
+                    out[w] += a * v
+    return tuple(out)
+
+
 def expectation(P: Prob, values: tuple[Fraction, ...]) -> Fraction:
     if len(values) != P.size:
         raise ValueError("function and measure live on different spaces")
@@ -107,7 +122,7 @@ def is_ergodic(P: Prob, T: Transformation) -> bool:
     """Whether an invariant P gives every preimage-fixed set mass 0 or 1."""
     if not is_invariant(P, T):
         raise ValueError("measure is not invariant under the map")
-    for mask in space.invariant_sets(T):
+    for mask in T.invariant_sets:
         if P(mask) not in (0, 1):
             return False
     return True
@@ -119,7 +134,7 @@ def ergodic_probabilities(T: Transformation) -> list[Prob]:
     Ordered by least cycle element.
     """
     out = []
-    for mask, pts in space.cycles(T):
+    for mask, pts in T.cycles:
         share = Fraction(1, len(pts))
         out.append(Prob(tuple(share if mask >> w & 1 else ZERO for w in range(T.size))))
     return out
@@ -128,23 +143,23 @@ def ergodic_probabilities(T: Transformation) -> list[Prob]:
 def cesaro_limit(P: Prob, T: Transformation) -> Prob:
     """Limit of the running averages of the pushforward iterates of P.
 
-    The iterate sequence is eventually periodic (preperiod at most the
-    tree depth, period dividing the lcm of cycle lengths), so the limit
-    is the exact mean of one full period of the tail.
+    The iterate sequence is eventually periodic (after the preperiod,
+    with period the lcm of cycle lengths), so the limit is the exact mean
+    of one full period of the tail.  The result is invariant and matches
+    P on every preimage-fixed set; both facts are re-verified.
     """
-    burn = space.preperiod_bound(T)
-    period = space.period_lcm(T)
     current = P
-    for _ in range(burn):
+    for _ in range(T.preperiod):
         current = pushforward(current, T)
-    acc = [ZERO] * P.size
-    for _ in range(period):
-        for w, v in enumerate(current.mass):
-            acc[w] += v
-        current = pushforward(current, T)
-    limit = Prob(tuple(v / period for v in acc))
+    tail = [current]
+    for _ in range(T.period - 1):
+        tail.append(pushforward(tail[-1], T))
+    limit = Prob(mixture([Fraction(1, T.period)] * T.period, tail))
     if not is_invariant(limit, T):
         raise InternalVerificationError("tail average of pushforwards is not invariant")
+    for mask in T.invariant_sets:
+        if limit(mask) != P(mask):
+            raise InternalVerificationError("tail average moved mass across an invariant set")
     return limit
 
 
@@ -157,21 +172,11 @@ def invariant_skeleton(P: Prob, T: Transformation) -> Prob:
     """
     if P.size != T.size:
         raise ValueError("measure and map live on different spaces")
-    out = [ZERO] * P.size
-    comp = space.components(T)
-    cyc = space.cycles(T)
-    for cell in comp:
-        weight = P(cell)
-        if weight == 0:
-            continue
-        for mask, pts in cyc:
-            if mask & cell:
-                share = weight / len(pts)
-                for w in pts:
-                    out[w] += share
-                break
-    skel = Prob(tuple(out))
-    for mask in space.invariant_sets(T):
+    weights = [ZERO] * len(T.cycles)
+    for c, v in zip(T.cycle_of, P.mass):
+        weights[c] += v
+    skel = Prob(mixture(weights, ergodic_probabilities(T)))
+    for mask in T.invariant_sets:
         if skel(mask) != P(mask):
             raise InternalVerificationError("skeleton disagrees with the source on a fixed set")
     if not is_invariant(skel, T):

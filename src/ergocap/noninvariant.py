@@ -17,13 +17,9 @@ from fractions import Fraction
 from . import birkhoff, capacity, fec, measure, space
 from .birkhoff import IndependencePair
 from .capacity import UpperProb, envelope
-from .errors import InternalVerificationError
-from .fec import FECResult, NotFEC
+from .fec import FECResult
 from .measure import Prob
 from .space import Partition, SubsetMask, Transformation
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -71,45 +67,7 @@ def invariant_value_set(P: Prob, T: Transformation) -> set[Fraction]:
     """
     if P.size != T.size:
         raise ValueError("measure and map live on different spaces")
-    return {P(mask) for mask in space.invariant_sets(T)}
-
-
-def orbit_closure(T: Transformation, mask: SubsetMask) -> SubsetMask:
-    """Union of T^{-i}(mask) over one full period: the invariant hull."""
-    if not space.is_invertible(T):
-        raise ValueError("orbit closure as a preimage union needs an invertible map")
-    out = 0
-    cur = mask
-    for _ in range(space.period_lcm(T)):
-        out |= cur
-        cur = space.preimage(T, cur)
-    return out
-
-
-def q_limit(P: Prob, T: Transformation) -> Prob:
-    """Average of the pushforwards of P over one period.
-
-    The pushforward sequence of an invertible map is purely periodic, so
-    this single-period mean is the exact Cesaro limit.  The result is
-    invariant and matches P on every preimage-fixed set; both facts are
-    re-verified.
-    """
-    if not space.is_invertible(T):
-        raise ValueError("the map must be invertible")
-    period = space.period_lcm(T)
-    total = [ZERO] * P.size
-    cur = P
-    for _ in range(period):
-        for w, v in enumerate(cur.mass):
-            total[w] += v
-        cur = measure.pushforward(cur, T)
-    Q = Prob(tuple(v / period for v in total))
-    if not measure.is_invariant(Q, T):
-        raise InternalVerificationError("period average is not invariant")
-    for mask in space.invariant_sets(T):
-        if Q(mask) != P(mask):
-            raise InternalVerificationError("period average moved mass across an invariant set")
-    return Q
+    return {P(mask) for mask in T.invariant_sets}
 
 
 def v_component(P: Prob, T: Transformation) -> UpperProb:
@@ -124,22 +82,15 @@ def v_component(P: Prob, T: Transformation) -> UpperProb:
     """
     if not space.is_invertible(T):
         raise ValueError("the map must be invertible")
-    period = space.period_lcm(T)
+    period = T.period
     nus = [P]
     for _ in range(period - 1):
         nus.append(measure.pushforward(nus[-1], T))
-    mean = [ZERO] * P.size
-    for nu in nus:
-        for w, v in enumerate(nu.mass):
-            mean[w] += v / period
-    gens = [Prob(tuple(mean))]
+    gens = [measure.mixture([Fraction(1, period)] * period, nus)]
     for r in range(1, period):
         for s in range(period):
-            run = [ZERO] * P.size
-            for k in range(r):
-                for w, v in enumerate(nus[(s + k) % period].mass):
-                    run[w] += v / r
-            gens.append(Prob(tuple(run)))
+            run = [nus[(s + k) % period] for k in range(r)]
+            gens.append(measure.mixture([Fraction(1, r)] * r, run))
     return envelope(gens)
 
 
@@ -156,7 +107,7 @@ def irreducible_partition(P: Prob, T: Transformation) -> IrreduciblePartition:
         raise ValueError("measure and map live on different spaces")
     cells = []
     leftover = 0
-    for comp in space.components(T):
+    for comp in T.components:
         if P(comp) > 0:
             cells.append(comp)
         else:
@@ -165,7 +116,7 @@ def irreducible_partition(P: Prob, T: Transformation) -> IrreduciblePartition:
         cells[-1] |= leftover
     part = Partition(tuple(cells), P.size)
     conditionals = tuple(measure.conditional(P, cell) for cell in part)
-    limits = tuple(q_limit(pj, T) for pj in conditionals)
+    limits = tuple(measure.cesaro_limit(pj, T) for pj in conditionals)
     capacities = tuple(v_component(pj, T) for pj in conditionals)
     return IrreduciblePartition(part, conditionals, limits, capacities)
 
@@ -237,12 +188,7 @@ def noninvariant_lln(
     """Orbit averages hit the matching cell mean at every P-charged point."""
     if part is None:
         part = irreducible_partition(sys.P, sys.T)
-    limit = birkhoff.birkhoff_limit(sys.T, f)
-    means = [measure.expectation(Q, f.values) for Q in part.limits]
-    for w in space.points(sys.P.support()):
-        if limit.values[w] != means[part.cells.cell_index(w)]:
-            return False
-    return True
+    return birkhoff.limit_is_cell_mean(sys.T, f, part.cells, part.limits, sys.P.support())
 
 
 def noninvariant_independence(

@@ -3,8 +3,12 @@
 Points are labelled ``0 .. m-1`` and a measurable set is an ``int`` bitmask
 (bit ``i`` set means point ``i`` belongs to the set); the sigma-algebra is
 always the full power set.  A dynamics is a total map given by its value
-table.  The sets fixed by preimage are exactly the unions of weakly
-connected components of the functional graph ``w -> T(w)``.
+table.  Every orbit of such a map falls into a terminal cycle, and each
+weakly connected component of the functional graph ``w -> T(w)`` holds
+exactly one cycle, so a single walk of the graph gives the cycles, each
+point's cycle and its distance to it, and the components.  The sets fixed
+by preimage are exactly the unions of components.  `Transformation` holds
+this structure, worked out lazily and once per instance.
 
 Operations that enumerate all ``2**m`` subsets are exact but exponential;
 they are meant for ``m <= 10`` (hard cap ``MAX_POINTS = 16``).
@@ -12,9 +16,13 @@ they are meant for ``m <= 10`` (hard cap ``MAX_POINTS = 16``).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+from .errors import InternalVerificationError
 
 SubsetMask = int
 
@@ -30,11 +38,6 @@ def complement(mask: SubsetMask, size: int) -> SubsetMask:
     return mask ^ full_mask(size)
 
 
-def subsets(size: int) -> range:
-    """All 2**size bitmasks, in increasing numeric order."""
-    return range(1 << size)
-
-
 def points(mask: SubsetMask) -> Iterator[int]:
     """Yield the members of a bitmask in increasing order."""
     while mask:
@@ -43,29 +46,61 @@ def points(mask: SubsetMask) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(pts) -> SubsetMask:
-    out = 0
-    for p in pts:
-        out |= 1 << p
-    return out
+def _packed(masks) -> memoryview:
+    """Masks as a read-only array of 16-bit words (MAX_POINTS = 16).
+
+    A map keeps its tables as long as it lives, also as an lru_cache key;
+    packed, the preimage table of a 16-point map takes 128 KiB instead of
+    the 2.5 MB of a tuple of ints.
+    """
+    return memoryview(array("H", masks)).toreadonly()
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
-    """The measurable space {0, .., size-1} with its full power set."""
+class _Walk(NamedTuple):
+    cycles: tuple[tuple[SubsetMask, tuple[int, ...]], ...]
+    cycle_of: tuple[int, ...]
+    preperiod: int
 
-    size: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.size <= MAX_POINTS:
-            raise ValueError(f"space size must be in 1..{MAX_POINTS}, got {self.size}")
+def _walk(T: Transformation) -> _Walk:
+    """One walk of the functional graph: its cycles, each point's cycle, the preperiod.
 
-    @property
-    def omega(self) -> SubsetMask:
-        return full_mask(self.size)
-
-    def subsets(self) -> range:
-        return subsets(self.size)
+    Each point is followed until it meets a point already placed; the
+    points of that walk then take that point's cycle, and their distances
+    to the cycle are counted back from it.  A walk that meets itself has
+    found a new cycle.
+    """
+    table = T.table
+    m = len(table)
+    root = [-1] * m  # least point of the cycle each point's orbit falls into
+    depth = [0] * m
+    on_walk = [False] * m
+    for start in range(m):
+        path = []
+        w = start
+        while root[w] < 0 and not on_walk[w]:
+            on_walk[w] = True
+            path.append(w)
+            w = table[w]
+        if root[w] < 0:  # the walk closed a new cycle at w
+            i = path.index(w)
+            least = min(path[i:])
+            for v in path[i:]:
+                root[v] = least
+            del path[i:]
+        for v in reversed(path):
+            root[v] = root[w]
+            depth[v] = depth[w] + 1
+            w = v
+    cycles = []
+    rank = {}
+    for least in sorted(set(root)):
+        rank[least] = len(cycles)
+        pts = [least]
+        while table[pts[-1]] != least:
+            pts.append(table[pts[-1]])
+        cycles.append((sum(1 << v for v in pts), tuple(pts)))
+    return _Walk(tuple(cycles), tuple(rank[r] for r in root), max(depth))
 
 
 @dataclass(frozen=True)
@@ -74,6 +109,8 @@ class Transformation:
 
     ``table[w]`` is the image of point ``w``.  The map need not be
     invertible; invertibility is exactly "the table is a permutation".
+    The structure attributes are cached on first use; equality and
+    hashing use the table alone.
     """
 
     table: tuple[int, ...]
@@ -93,6 +130,80 @@ class Transformation:
 
     def __call__(self, point: int) -> int:
         return self.table[point]
+
+    @cached_property
+    def _structure(self) -> _Walk:
+        return _walk(self)
+
+    @cached_property
+    def cycles(self) -> tuple[tuple[SubsetMask, tuple[int, ...]], ...]:
+        """The terminal cycles, as ``(cycle_mask, ordered_points)`` pairs.
+
+        Sorted by least cycle element; each point list starts at its least
+        element and follows the map.
+        """
+        return self._structure.cycles
+
+    @cached_property
+    def cycle_of(self) -> tuple[int, ...]:
+        """For each point, the index in `cycles` of the cycle its orbit falls into."""
+        return self._structure.cycle_of
+
+    @cached_property
+    def preperiod(self) -> int:
+        """The most steps any orbit takes to enter its cycle."""
+        return self._structure.preperiod
+
+    @cached_property
+    def period(self) -> int:
+        """Least common multiple of the cycle lengths."""
+        return lcm(*(len(pts) for _, pts in self.cycles))
+
+    @cached_property
+    def components(self) -> Partition:
+        """Weakly connected components of the functional graph, ordered by least point.
+
+        Each holds exactly one cycle, so they are the points grouped by
+        the cycle their orbits fall into.
+        """
+        cells = [0] * len(self.cycles)
+        for w, c in enumerate(self.cycle_of):
+            cells[c] |= 1 << w
+        return Partition(tuple(sorted(cells, key=lambda cell: cell & -cell)), self.size)
+
+    @cached_property
+    def invariant_sets(self) -> memoryview:
+        """All sets A with preimage(T, A) == A, in increasing mask order.
+
+        These are exactly the unions of components; the construction is
+        double-checked against the defining fixed-point property.
+        """
+        out = [0]
+        for cell in self.components:
+            out += [mask | cell for mask in out]
+        out.sort()
+        for mask in out:
+            if preimage(self, mask) != mask:
+                raise InternalVerificationError(
+                    "component union is not preimage-fixed; graph bookkeeping is broken"
+                )
+        return _packed(out)
+
+    @cached_property
+    def preimage_table(self) -> memoryview:
+        """preimage(T, A) for every bitmask A, indexed by A.
+
+        Built with the low-bit recurrence pre[A] = pre[A minus its lowest
+        point] | pre[{lowest point}], one OR per mask.
+        """
+        single = [0] * self.size
+        for w, img in enumerate(self.table):
+            single[img] |= 1 << w
+        out = [0] * (1 << self.size)
+        for mask in range(1, len(out)):
+            low = mask & -mask
+            out[mask] = out[mask ^ low] | single[low.bit_length() - 1]
+        return _packed(out)
 
 
 @dataclass(frozen=True)
@@ -120,12 +231,6 @@ class Partition:
     def __iter__(self):
         return iter(self.cells)
 
-    def cell_of(self, point: int) -> SubsetMask:
-        for cell in self.cells:
-            if cell >> point & 1:
-                return cell
-        raise ValueError(f"point {point} not covered")
-
     def cell_index(self, point: int) -> int:
         for i, cell in enumerate(self.cells):
             if cell >> point & 1:
@@ -142,180 +247,9 @@ def preimage(T: Transformation, mask: SubsetMask) -> SubsetMask:
     return out
 
 
-def preimage_table(T: Transformation) -> list[SubsetMask]:
-    """preimage(T, A) for every bitmask A, indexed by A.
-
-    Built with the low-bit recurrence pre[A] = pre[A minus its lowest
-    point] | pre[{lowest point}], one OR per mask.
-    """
-    single = [0] * T.size
-    for w, img in enumerate(T.table):
-        single[img] |= 1 << w
-    out = [0] * (1 << T.size)
-    for mask in range(1, len(out)):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] | single[low.bit_length() - 1]
-    return out
-
-
-def components(T: Transformation) -> Partition:
-    """Weakly connected components of the functional graph, as a partition.
-
-    Cells are ordered by least element.
-    """
-    m = T.size
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for w, img in enumerate(T.table):
-        ra, rb = find(w), find(img)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    cells: dict[int, SubsetMask] = {}
-    for w in range(m):
-        cells.setdefault(find(w), 0)
-        cells[find(w)] |= 1 << w
-    ordered = tuple(cells[r] for r in sorted(cells))
-    return Partition(ordered, m)
-
-
-def invariant_sets(T: Transformation) -> list[SubsetMask]:
-    """All sets A with preimage(T, A) == A, in increasing mask order.
-
-    These are exactly the unions of weakly connected components; the
-    construction is double-checked against the defining fixed-point
-    property.
-    """
-    comp = components(T).cells
-    out = []
-    for choice in range(1 << len(comp)):
-        mask = 0
-        for i, cell in enumerate(comp):
-            if choice >> i & 1:
-                mask |= cell
-        out.append(mask)
-    out.sort()
-    for mask in out:
-        if preimage(T, mask) != mask:
-            raise RuntimeError("component union is not preimage-fixed; graph bookkeeping is broken")
-    return out
-
-
 def is_invariant_set(T: Transformation, mask: SubsetMask) -> bool:
     return preimage(T, mask) == mask
 
 
-def cycles(T: Transformation) -> list[tuple[SubsetMask, tuple[int, ...]]]:
-    """The terminal cycles of the map.
-
-    Returns ``(cycle_mask, ordered_points)`` pairs sorted by least cycle
-    element; each cycle's point list starts at its least element and
-    follows the map.
-    """
-    m = T.size
-    # color: 0 unvisited, 1 on current walk, 2 done
-    color = [0] * m
-    cycle_masks: list[SubsetMask] = []
-    for start in range(m):
-        if color[start]:
-            continue
-        path = []
-        w = start
-        while color[w] == 0:
-            color[w] = 1
-            path.append(w)
-            w = T.table[w]
-        if color[w] == 1:
-            # closed a new cycle at w
-            mask = 0
-            v = w
-            while True:
-                mask |= 1 << v
-                v = T.table[v]
-                if v == w:
-                    break
-            cycle_masks.append(mask)
-        for v in path:
-            color[v] = 2
-    result = []
-    for mask in sorted(cycle_masks, key=lambda c: c & -c):
-        first = (mask & -mask).bit_length() - 1
-        pts = [first]
-        v = T.table[first]
-        while v != first:
-            pts.append(v)
-            v = T.table[v]
-        result.append((mask, tuple(pts)))
-    return result
-
-
 def is_invertible(T: Transformation) -> bool:
     return len(set(T.table)) == T.size
-
-
-def cycle_mask(T: Transformation) -> SubsetMask:
-    """Union of all terminal cycles."""
-    out = 0
-    for mask, _ in cycles(T):
-        out |= mask
-    return out
-
-
-def period_lcm(T: Transformation) -> int:
-    """Least common multiple of the cycle lengths."""
-    return lcm(*(len(pts) for _, pts in cycles(T)))
-
-
-def steps_to_cycle(T: Transformation) -> tuple[int, ...]:
-    """For each point, how many steps until its orbit first enters a cycle."""
-    on_cycle = cycle_mask(T)
-    out = []
-    for w in range(T.size):
-        steps = 0
-        v = w
-        while not on_cycle >> v & 1:
-            v = T.table[v]
-            steps += 1
-        out.append(steps)
-    return tuple(out)
-
-
-def preperiod_bound(T: Transformation) -> int:
-    """A step count after which every orbit is inside its terminal cycle."""
-    return max(steps_to_cycle(T))
-
-
-def compose(T: Transformation, S: Transformation) -> Transformation:
-    """The map w -> T(S(w))."""
-    if T.size != S.size:
-        raise ValueError("maps act on different spaces")
-    return Transformation(tuple(T.table[S.table[w]] for w in range(S.size)))
-
-
-def iterate(T: Transformation, n: int) -> Transformation:
-    """The n-th forward iterate of the map (n >= 0)."""
-    if n < 0:
-        raise ValueError("iterate count must be nonnegative")
-    out = Transformation(tuple(range(T.size)))
-    step = T
-    while n:
-        if n & 1:
-            out = compose(step, out)
-        step = compose(step, step)
-        n >>= 1
-    return out
-
-
-def inverse(T: Transformation) -> Transformation:
-    if not is_invertible(T):
-        raise ValueError("map is not invertible")
-    inv = [0] * T.size
-    for w, img in enumerate(T.table):
-        inv[img] = w
-    return Transformation(tuple(inv))

@@ -48,7 +48,7 @@ def _structured_system(seed: int):
     m = rng.randint(4, 5)
     while True:
         T = generate.random_permutation(rng, m)
-        cyc = list(space.cycles(T))
+        cyc = list(T.cycles)
         if len(cyc) >= 2:
             break
     gens = []
@@ -220,7 +220,7 @@ def test_criterion_4_independence_sweeps(capsys):
     core_pairs = 0
     for V, T, result in systems:
         m = T.size
-        n_steps = 4 * space.period_lcm(T)
+        n_steps = 4 * T.period
         # orbit table once, literal hit frequencies from it
         orbits = []
         for w in range(m):
@@ -385,7 +385,7 @@ def test_criterion_6_noninvariant(capsys):
             for C in range(1 << m):
                 assert noninvariant.noninvariant_independence(sys_, B, C, part).equal
                 pair_total += 1
-        L = space.period_lcm(T)
+        L = T.period
         for Pj, Vj in zip(part.conditionals, part.capacities):
             for mask in range(1 << m):
                 assert Vj(mask) == oracle.oracle_window_sup(
@@ -441,7 +441,7 @@ def test_criterion_8_skeleton(capsys):
         P = generate.random_prob(rng, m)
         sk = measure.invariant_skeleton(P, T)
         assert measure.is_invariant(sk, T)
-        for mask in space.invariant_sets(T):
+        for mask in T.invariant_sets:
             assert sk(mask) == P(mask)
         agreed += 1
         if invertible:

@@ -82,8 +82,8 @@ def test_finite_average_closes_after_burn_in(seed):
     T = generate.random_transformation(rng, m)
     f = generate.random_function(rng, m)
     g = birkhoff_limit(T, f)
-    burn = space.preperiod_bound(T)
-    n = space.period_lcm(T) * rng.randint(1, 3)
+    burn = T.preperiod
+    n = T.period * rng.randint(1, 3)
     w = rng.randrange(m)
     assert finite_average(T, f, w, n, burn=burn) == g.values[w]
 
@@ -228,8 +228,8 @@ def test_cesaro_hit_limit_bounds_long_averages(seed):
     B = rng.randrange(1 << m)
     C = rng.randrange(1 << m)
     limit = cesaro_hit_limit(P, T, B, C)
-    burn = space.preperiod_bound(T)
-    n = burn + 50 * space.period_lcm(T)
+    burn = T.preperiod
+    n = burn + 50 * T.period
     mask = C
     total = F(0)
     for _ in range(n):

@@ -405,3 +405,128 @@ def test_noninvariant_report_is_pinned_on_the_readme_system(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == _golden("readme_noninvariant.txt")
+
+
+# An FEC system on a map that is not invertible: cycles {1, 2} and {5},
+# the tree point 3 -> 0 -> 1 two steps off its cycle, and 4 -> 5.
+TREE_SYSTEM = {
+    "omega_size": 6,
+    "map": [1, 2, 1, 0, 5, 5],
+    "generators": [
+        [0, "1/2", "1/2", 0, 0, 0],
+        [0, 0, 0, 0, 0, 1],
+    ],
+}
+
+# An invariant capacity on the swap pairs that is not a component system.
+NOT_FEC_SYSTEM = TILTED
+
+# A capacity the swap pairs do not leave invariant.
+NOT_INVARIANT_SYSTEM = {
+    "omega_size": 4,
+    "map": [1, 0, 3, 2],
+    "generators": [["2/3", "1/3", 0, 0], [0, 0, "1/2", "1/2"]],
+}
+
+README_FUNCTION = [1, 0, "1/2", "-1/3"]
+TREE_FUNCTION = [1, -2, "1/2", 3, "-1/3", 0]
+
+# golden file -> (exit code, system, command and options); an option that is
+# not a string is written to a file and passed by path
+GOLDEN_REPORTS = {
+    "readme_analyze.txt": (0, README_SYSTEM, ("analyze",)),
+    "readme_check_fec.txt": (0, README_SYSTEM, ("check-fec",)),
+    "readme_decompose.txt": (
+        0, README_SYSTEM, ("decompose", "--probability", {"probability": ["1/8", "1/8", "3/8", "3/8"]}),
+    ),
+    "readme_koopman.txt": (0, README_SYSTEM, ("koopman",)),
+    "readme_birkhoff.txt": (0, README_SYSTEM, ("birkhoff", "--function", README_FUNCTION, "--nmax", "8")),
+    "tree_analyze.txt": (0, TREE_SYSTEM, ("analyze",)),
+    "tree_decompose.txt": (
+        0, TREE_SYSTEM, ("decompose", "--probability", [0, "1/6", "1/6", 0, 0, "2/3"]),
+    ),
+    "tree_koopman.txt": (0, TREE_SYSTEM, ("koopman",)),
+    "tree_birkhoff.txt": (0, TREE_SYSTEM, ("birkhoff", "--function", TREE_FUNCTION, "--nmax", "8")),
+    "tree_independence.txt": (0, TREE_SYSTEM, ("independence", "--nmax", "4")),
+    "tree_noninvariant.txt": (
+        2, dict(TREE_SYSTEM, probability=["1/6"] * 6), ("noninvariant", "--function", TREE_FUNCTION),
+    ),
+    "not_fec_analyze.txt": (2, NOT_FEC_SYSTEM, ("analyze",)),
+    "not_fec_check_fec.txt": (2, NOT_FEC_SYSTEM, ("check-fec",)),
+    "not_fec_decompose.txt": (
+        0, NOT_FEC_SYSTEM, ("decompose", "--probability", ["3/8", "3/8", "1/8", "1/8"]),
+    ),
+    "not_fec_koopman.txt": (0, NOT_FEC_SYSTEM, ("koopman",)),
+    "not_fec_birkhoff.txt": (2, NOT_FEC_SYSTEM, ("birkhoff", "--function", README_FUNCTION, "--nmax", "8")),
+    "not_fec_independence.txt": (2, NOT_FEC_SYSTEM, ("independence",)),
+    "not_invariant_analyze.txt": (2, NOT_INVARIANT_SYSTEM, ("analyze",)),
+    "not_invariant_check_fec.txt": (2, NOT_INVARIANT_SYSTEM, ("check-fec",)),
+    "not_invariant_koopman.txt": (2, NOT_INVARIANT_SYSTEM, ("koopman",)),
+    "not_invariant_birkhoff.txt": (
+        2, NOT_INVARIANT_SYSTEM, ("birkhoff", "--function", README_FUNCTION, "--nmax", "8"),
+    ),
+    "not_invariant_independence.txt": (2, NOT_INVARIANT_SYSTEM, ("independence",)),
+    "oracle_verify.txt": (0, None, ("oracle-verify", "--seed", "3", "--nmax", "3")),
+}
+
+
+def golden_argv(tmp_path, system, command):
+    """The CLI arguments of a golden case, with its input files written under tmp_path."""
+    argv = [command[0]]
+    if system is not None:
+        argv.append(write(tmp_path, "sys.json", system))
+    for i, option in enumerate(command[1:]):
+        argv.append(option if isinstance(option, str) else write(tmp_path, f"opt{i}.json", option))
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_is_pinned(tmp_path, name):
+    code, system, command = GOLDEN_REPORTS[name]
+    proc = run_cli(*golden_argv(tmp_path, system, command))
+    assert proc.returncode == code
+    assert proc.stdout == _golden(name)
+
+
+def test_structure_is_walked_once_per_map(tmp_path, monkeypatch, capsys):
+    from ergocap import capacity, cli, measure, space
+
+    for cached in (capacity.core_vertices, capacity.invariant_core_vertices, measure.subset_sums):
+        cached.cache_clear()
+    walked = []
+    walk = space._walk
+
+    def spy(T):
+        walked.append(T)
+        return walk(T)
+
+    monkeypatch.setattr(space, "_walk", spy)
+    path = write(tmp_path, "sys.json", README_SYSTEM)
+    assert cli.main(["independence", path, "--nmax", "4"]) == 0
+    assert capsys.readouterr().out == _golden("readme_independence.txt")
+    assert walked
+    assert len({id(T) for T in walked}) == len(walked)  # the list keeps every instance alive
+
+
+@pytest.mark.parametrize("command", ["analyze", "independence"])
+def test_internal_error_exits_3_with_a_report(tmp_path, command):
+    script = (
+        "import sys\n"
+        "from ergocap import cli, fec\n"
+        "from ergocap.errors import InternalVerificationError\n"
+        "def broken(V, T):\n"
+        "    raise InternalVerificationError('component capacity is not ergodic')\n"
+        "fec.fec_decompose = broken\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    path = write(tmp_path, "sys.json", README_SYSTEM)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, command, path, "--json-only"], capture_output=True, text=True
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {
+        "command": command,
+        "status": "internal-error",
+        "reason": "component capacity is not ergodic",
+    }

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergocap import capacity, generate, measure, oracle, space
+from ergocap import capacity, generate, measure, oracle
 from ergocap.capacity import envelope, core_contains, invariant_core_vertices
 from ergocap.fec import (
     EmptyRestrictedCore,
@@ -244,7 +244,7 @@ def test_extracted_cells_are_minimal_full_value_sets(seed):
     if isinstance(result, NotFEC):
         return
     m = T.size
-    invariant = space.invariant_sets(T)
+    invariant = T.invariant_sets
     for cell in result.partition:
         assert V(cell) == 1
         for b in invariant:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ergocap import measure, space
+from ergocap import measure
+from ergocap.errors import InternalVerificationError
 from ergocap.measure import (
     Prob,
     abs_continuous,
@@ -15,10 +16,11 @@ from ergocap.measure import (
     is_ergodic,
     is_invariant,
     lebesgue_decomposition_invariant,
+    mixture,
     pushforward,
     singular,
 )
-from ergocap.space import Transformation, invariant_sets
+from ergocap.space import Transformation
 
 F = Fraction
 
@@ -105,7 +107,7 @@ def test_ergodic_probabilities_identity_m2():
 @given(transformations())
 def test_ergodic_probabilities_are_exactly_the_cycle_uniforms(T):
     got = ergodic_probabilities(T)
-    assert len(got) == len(space.cycles(T))
+    assert len(got) == len(T.cycles)
     for Q in got:
         assert is_invariant(Q, T)
         assert is_ergodic(Q, T)
@@ -123,6 +125,15 @@ def test_cesaro_limit_invariant_fixed_point(q1, swap_pairs):
     assert cesaro_limit(q1, swap_pairs) == q1
 
 
+def test_mixture_weights_the_mass_vectors():
+    a, b = prob("1/2", "1/2", 0), prob(0, "1/3", "2/3")
+    assert mixture([F(1, 4), F(3, 4)], [a, b]) == (F(1, 8), F(3, 8), F(1, 2))
+    # weights need not sum to 1, and a zero weight drops its measure
+    assert mixture([2, 0], [a, b]) == (1, 1, 0)
+    with pytest.raises(ValueError):
+        mixture([1], [a, b])
+
+
 def test_cesaro_limit_four_cycle():
     got = cesaro_limit(prob(1, 0, 0, 0), Transformation((1, 2, 3, 0)))
     assert got == prob("1/4", "1/4", "1/4", "1/4")
@@ -133,8 +144,23 @@ def test_cesaro_limit_is_invariant_and_keeps_fixed_set_masses(pair):
     P, T = pair
     Q = cesaro_limit(P, T)
     assert is_invariant(Q, T)
-    for mask in invariant_sets(T):
+    for mask in T.invariant_sets:
         assert Q(mask) == P(mask)
+
+
+def test_cesaro_limit_checks_fixed_set_masses(monkeypatch, swap_pairs):
+    # a first pushforward that leaks the mass of {2, 3} into {0, 1} still
+    # gives an invariant tail average, which only the fixed-set check catches
+    real = measure.pushforward
+    calls = []
+
+    def leaky(P, T):
+        calls.append(P)
+        return prob("1/2", "1/2", 0, 0) if len(calls) == 1 else real(P, T)
+
+    monkeypatch.setattr(measure, "pushforward", leaky)
+    with pytest.raises(InternalVerificationError, match="moved mass"):
+        cesaro_limit(prob("1/4", "1/4", "1/4", "1/4"), swap_pairs)
 
 
 def test_invariant_skeleton_swap():
@@ -155,7 +181,7 @@ def test_invariant_skeleton_matches_p_on_fixed_sets_and_is_idempotent(pair):
     P, T = pair
     S = invariant_skeleton(P, T)
     assert is_invariant(S, T)
-    for mask in invariant_sets(T):
+    for mask in T.invariant_sets:
         assert S(mask) == P(mask)
     assert invariant_skeleton(S, T) == S
 

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergocap import capacity, generate, measure, oracle, space
+from ergocap import capacity, generate, measure, oracle
 from ergocap.capacity import indicator
 from ergocap.fec import FECResult, fec_decompose
 from ergocap.noninvariant import (
@@ -17,8 +17,6 @@ from ergocap.noninvariant import (
     irreducible_partition,
     noninvariant_independence,
     noninvariant_lln,
-    orbit_closure,
-    q_limit,
     v_component,
     verify_construction,
 )
@@ -60,36 +58,30 @@ def test_invariant_value_set_examples(swap_pairs):
 @settings(max_examples=40)
 def test_value_set_size_bound(seed):
     P, T = random_invertible(seed)
-    k = len(list(space.components(T)))
+    k = len(T.components)
     assert len(invariant_value_set(P, T)) <= 2**k
 
 
-def test_orbit_closures_are_exactly_the_invariant_sets():
-    for table in [(1, 0, 3, 2), (1, 2, 3, 0), (0, 1, 2, 3), (1, 2, 0, 3)]:
-        T = Transformation(table)
-        closures = {orbit_closure(T, mask) for mask in range(16)}
-        assert closures == set(space.invariant_sets(T))
-
-
-def test_orbit_closure_rejects_noninvertible():
-    with pytest.raises(ValueError):
-        orbit_closure(Transformation((0, 0)), 0b10)
-
-
-def test_q_limit_examples():
-    assert q_limit(prob("1/3", "2/3"), Transformation((1, 0))).mass == (F(1, 2), F(1, 2))
+def test_partition_limit_examples():
+    # the limits Q_j of irreducible_partition are Cesaro limits
+    assert measure.cesaro_limit(prob("1/3", "2/3"), Transformation((1, 0))).mass == (F(1, 2), F(1, 2))
     four_cycle = Transformation((1, 2, 3, 0))
-    assert q_limit(prob(1, 0, 0, 0), four_cycle).mass == (F(1, 4),) * 4
+    assert measure.cesaro_limit(prob(1, 0, 0, 0), four_cycle).mass == (F(1, 4),) * 4
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=40)
-def test_q_limit_invariant_and_agrees_on_fixed_sets(seed):
+def test_partition_limit_is_the_period_mean(seed):
+    # an invertible map has preperiod 0, so the Cesaro limit is the plain
+    # mean of the pushforwards over one period
     P, T = random_invertible(seed)
-    Q = q_limit(P, T)
-    assert measure.is_invariant(Q, T)
-    for mask in space.invariant_sets(T):
-        assert Q(mask) == P(mask)
+    total = [F(0)] * T.size
+    cur = P
+    for _ in range(T.period):
+        for w, v in enumerate(cur.mass):
+            total[w] += v
+        cur = measure.pushforward(cur, T)
+    assert measure.cesaro_limit(P, T).mass == tuple(v / T.period for v in total)
 
 
 def test_v_component_examples(swap_pairs):
@@ -110,7 +102,7 @@ def test_v_component_examples(swap_pairs):
 def test_v_component_dominates_p_and_q(seed):
     P, T = random_invertible(seed, max_m=5)
     V = v_component(P, T)
-    Q = q_limit(P, T)
+    Q = measure.cesaro_limit(P, T)
     assert capacity.is_invariant_capacity(V, T)
     for mask in range(1 << T.size):
         assert V(mask) >= P(mask)
@@ -123,7 +115,7 @@ def test_v_component_matches_window_sweep(seed):
     # literal two-sided window averages, swept far enough to hit the sup
     P, T = random_invertible(seed, max_m=4)
     V = v_component(P, T)
-    L = space.period_lcm(T)
+    L = T.period
     for mask in range(1 << T.size):
         assert V(mask) == oracle.oracle_window_sup(P.mass, T.table, mask, 4 * L, 8 * L + 1)
 
