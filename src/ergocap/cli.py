@@ -5,11 +5,12 @@ Input is a single JSON document with rationals written as "p/q" strings,
 parse time so exactness is a wire-level contract.  Every report is a
 machine block (canonical JSON, keys sorted, rationals as lowest-terms
 "p/q") optionally followed by a human-readable block.  Exit codes:
-0 success, 1 input error (including an --nmax above MAX_NMAX), 2 reported
-precondition failure (including a system that turns out not to have
-finite ergodic components), 3 internal error: one of the library's own
-exactness checks failed (a bug, reported as status "internal-error"
-with the failed check as its reason, never as a traceback).
+0 success, 1 input error (including an --nmax that is negative or above
+MAX_NMAX), 2 reported precondition failure (including a system that
+turns out not to have finite ergodic components), 3 internal error: one
+of the library's own exactness checks failed (a bug, reported as status
+"internal-error" with the failed check as its reason, never as a
+traceback).
 """
 
 from __future__ import annotations
@@ -477,7 +478,7 @@ def _cmd_independence(desc: SystemDescription, args) -> tuple[int, dict, list[st
     featured_b = cells[0]
     featured_c = cells[-1]
     featured = birkhoff.asymptotic_independence_choquet(
-        V, T, result, featured_b, featured_c, trace_to=max(args.nmax, 0)
+        V, T, result, featured_b, featured_c, trace_to=args.nmax
     )
     report["choquet"] = {
         "pairs_checked": checked,
@@ -685,6 +686,8 @@ def main(argv: list[str] | None = None) -> int:
         "noninvariant": _cmd_noninvariant,
     }
     try:
+        if args.nmax < 0:
+            raise InputError("--nmax", f"must not be negative, got {args.nmax}")
         if args.nmax > MAX_NMAX:
             raise InputError("--nmax", f"must be at most {MAX_NMAX}, got {args.nmax}")
         if args.command == "oracle-verify":

@@ -20,8 +20,6 @@ from .errors import InternalVerificationError
 from .measure import Prob
 from .space import Partition, SubsetMask, Transformation
 
-ZERO = Fraction(0)
-
 
 class EmptyRestrictedCore(Exception):
     """No core member satisfies the requested restriction."""
@@ -118,21 +116,6 @@ def component_capacity(V: UpperProb, cell: SubsetMask) -> UpperProb:
     face = [v for v in core_vertices(V) if v(cell) == 1]
     if not face:
         raise EmptyRestrictedCore(f"no core member concentrates on mask {cell}")
-    return envelope(face)
-
-
-def restricted_envelope(V: UpperProb, R: Prob) -> UpperProb:
-    """Envelope of the core members absolutely continuous w.r.t. R.
-
-    Support containment is a conjunction of tight nonnegativity
-    constraints, again a face of the core polytope.
-    """
-    if R.size != V.size:
-        raise ValueError("measure and capacity live on different spaces")
-    allowed = R.support()
-    face = [v for v in core_vertices(V) if v.support() & ~allowed == 0]
-    if not face:
-        raise EmptyRestrictedCore("no core member is absolutely continuous w.r.t. R")
     return envelope(face)
 
 
@@ -269,9 +252,10 @@ def full_decomposition(V: UpperProb, T: Transformation, P: Prob) -> Decompositio
 
     Requires an invertible map, a nonempty ergodic core, and an invariant
     core member P.  P is split against the average R of the ergodic core
-    members; the part << R is decomposed through the restricted envelope,
-    the part perpendicular to R becomes the residual.  Reconstruction,
-    residual invariance, and residual singularity are verified exactly;
+    members; the part << R lives on their cycles, so each member q weighs
+    P(supp q), and the part perpendicular to R becomes the residual.
+    Reconstruction, residual invariance, and residual singularity are
+    verified exactly;
     whether the residual also lies in the core is reported, not assumed.
     When V has FEC there is no residual (see `DecompositionResult`).
     """
@@ -287,21 +271,11 @@ def full_decomposition(V: UpperProb, T: Transformation, P: Prob) -> Decompositio
         raise ValueError("the core contains no ergodic measure")
     R = Prob(measure.mixture([Fraction(1, n)] * n, qs))
 
-    k, Pa, l, Ps = measure.lebesgue_decomposition_invariant(P, R, T)
+    _, _, l, Ps = measure.lebesgue_decomposition_invariant(P, R, T)
 
-    coeffs = [ZERO] * n
-    if k > 0:
-        assert Pa is not None
-        Vr = restricted_envelope(V, R)
-        sub_fec = fec_decompose(Vr, T)
-        if isinstance(sub_fec, NotFEC):
-            raise InternalVerificationError("restricted envelope lost its component structure")
-        sub = decompose_invariant(Vr, T, Pa, fec=sub_fec)
-        index = {q.mass: i for i, q in enumerate(qs)}
-        for a, q in zip(sub.coefficients, sub.measures):
-            if q.mass not in index:
-                raise InternalVerificationError("restricted component measure is not an ergodic core member")
-            coeffs[index[q.mass]] += k * a
+    # Pa is invariant and lives on the cycles of the qs, so on an
+    # invertible map Pa = sum Pa(supp q) q, and k Pa(supp q) = P(supp q).
+    coeffs = [P(q.support()) for q in qs]
 
     residual = Ps if l > 0 else None
     if residual is None:

@@ -47,23 +47,6 @@ def random_invariant_prob(rng: Random, T: Transformation, wmax: int = 6) -> Prob
     return Prob(measure.mixture([Fraction(x, s) for x in w], uniforms))
 
 
-def _orbit_cycle(seed: Prob, T: Transformation) -> list[Prob]:
-    """The periodic part of the seed's pushforward orbit.
-
-    Pushforward permutes this family cyclically, so an envelope over it
-    is exactly invariant; keeping the preperiod part would only give
-    V(T^{-1}A) <= V(A).
-    """
-    orbit = [seed]
-    index = {seed.mass: 0}
-    while True:
-        nxt = measure.pushforward(orbit[-1], T)
-        if nxt.mass in index:
-            return orbit[index[nxt.mass]:]
-        index[nxt.mass] = len(orbit)
-        orbit.append(nxt)
-
-
 def random_upper_prob(
     rng: Random, T: Transformation, max_seeds: int = 4, wmax: int = 6
 ) -> UpperProb:
@@ -79,7 +62,7 @@ def random_upper_prob(
         if rng.random() < 0.5:
             gens.append(random_invariant_prob(rng, T, wmax))
         else:
-            gens.extend(_orbit_cycle(random_prob(rng, T.size, wmax), T))
+            gens.extend(measure.orbit_cycle(random_prob(rng, T.size, wmax), T))
     return envelope(gens)
 
 
@@ -89,15 +72,6 @@ def random_function(
     values = tuple(
         Fraction(rng.randint(-num_max, num_max), rng.randint(1, den_max))
         for _ in range(m)
-    )
-    return FunctionOnSpace(values)
-
-
-def random_nonnegative_function(
-    rng: Random, m: int, num_max: int = 8, den_max: int = 4
-) -> FunctionOnSpace:
-    values = tuple(
-        Fraction(rng.randint(0, num_max), rng.randint(1, den_max)) for _ in range(m)
     )
     return FunctionOnSpace(values)
 

@@ -140,21 +140,32 @@ def ergodic_probabilities(T: Transformation) -> list[Prob]:
     return out
 
 
+def orbit_cycle(P: Prob, T: Transformation) -> list[Prob]:
+    """The periodic part of P's pushforward orbit, starting where it first repeats.
+
+    Pushforward permutes this family cyclically, so its mean is invariant
+    and an envelope over it is exactly invariant.  Its length divides the
+    map's period, and the preperiod of the orbit is at most the map's.
+    """
+    orbit = [P]
+    index = {P.mass: 0}
+    while True:
+        nxt = pushforward(orbit[-1], T)
+        if nxt.mass in index:
+            return orbit[index[nxt.mass]:]
+        index[nxt.mass] = len(orbit)
+        orbit.append(nxt)
+
+
 def cesaro_limit(P: Prob, T: Transformation) -> Prob:
     """Limit of the running averages of the pushforward iterates of P.
 
-    The iterate sequence is eventually periodic (after the preperiod,
-    with period the lcm of cycle lengths), so the limit is the exact mean
-    of one full period of the tail.  The result is invariant and matches
-    P on every preimage-fixed set; both facts are re-verified.
+    The iterate sequence is eventually periodic, so the limit is the exact
+    mean of its cycle (`orbit_cycle`).  The result is invariant and
+    matches P on every preimage-fixed set; both facts are re-verified.
     """
-    current = P
-    for _ in range(T.preperiod):
-        current = pushforward(current, T)
-    tail = [current]
-    for _ in range(T.period - 1):
-        tail.append(pushforward(tail[-1], T))
-    limit = Prob(mixture([Fraction(1, T.period)] * T.period, tail))
+    cycle = orbit_cycle(P, T)
+    limit = Prob(mixture([Fraction(1, len(cycle))] * len(cycle), cycle))
     if not is_invariant(limit, T):
         raise InternalVerificationError("tail average of pushforwards is not invariant")
     for mask in T.invariant_sets:

@@ -2,11 +2,13 @@
 
 Given an invertible map and any probability P, the space splits into
 invariant cells of positive mass (null leftovers folded into the last
-cell).  Conditioning P on a cell and averaging its pushforwards over one
-period yields an ergodic invariant limit Q_j; the supremum of all
-two-sided window averages of the conditioned pushforwards is an invariant
-upper probability V_j.  The max of the V_j then has finite ergodic
-components even though P had none of the symmetry to start with.
+cell).  Conditioning P on a cell and averaging its pushforwards over
+their own cycle yields an ergodic invariant limit Q_j; the supremum of
+all two-sided window averages of the conditioned pushforwards is an
+invariant upper probability V_j.  Both are read off the cycle of P_j's
+pushforward orbit, whose length divides the map's period.  The max of
+the V_j then has finite ergodic components even though P had none of
+the symmetry to start with.
 """
 
 from __future__ import annotations
@@ -73,23 +75,22 @@ def invariant_value_set(P: Prob, T: Transformation) -> set[Fraction]:
 def v_component(P: Prob, T: Transformation) -> UpperProb:
     """Supremum of all window averages of i -> P(T^{-i}A), as an envelope.
 
-    The sequence of pushforwards is L-periodic (L = lcm of cycle
-    lengths), and a window of length qL + r averages q full periods with
-    one run of length r, which is a convex combination of the period mean
+    On an invertible map the pushforwards of P repeat with the length l
+    of P's own orbit cycle (`measure.orbit_cycle`), which divides the
+    map's period.  A window of length ql + r averages q full cycles with
+    one run of length r, which is a convex combination of the cycle mean
     and that run's mean.  The sup over every window is therefore the max
-    over the period mean and all runs of length 1..L-1 at every phase,
-    a finite generator family.
+    over the cycle mean and all runs of length 1..l-1 at each of the l
+    phases: l(l-1) + 1 generators.
     """
     if not space.is_invertible(T):
         raise ValueError("the map must be invertible")
-    period = T.period
-    nus = [P]
-    for _ in range(period - 1):
-        nus.append(measure.pushforward(nus[-1], T))
-    gens = [measure.mixture([Fraction(1, period)] * period, nus)]
-    for r in range(1, period):
-        for s in range(period):
-            run = [nus[(s + k) % period] for k in range(r)]
+    nus = measure.orbit_cycle(P, T)
+    ell = len(nus)
+    gens = [measure.mixture([Fraction(1, ell)] * ell, nus)]
+    for r in range(1, ell):
+        for s in range(ell):
+            run = [nus[(s + k) % ell] for k in range(r)]
             gens.append(measure.mixture([Fraction(1, r)] * r, run))
     return envelope(gens)
 

@@ -355,6 +355,19 @@ def test_nmax_above_the_bound_is_refused(tmp_path):
     assert len(report_of(proc)["trace"][0]) == MAX_NMAX
 
 
+def test_negative_nmax_is_refused(tmp_path):
+    # a negative trace length or instance count is an input error, not a
+    # silent 0 or a silent default of 50 instances
+    sys_path = write(tmp_path, "sys.json", TWO_BLOCKS)
+    f_path = write(tmp_path, "f.json", [1, 0, 0, 0])
+    for argv in (("birkhoff", sys_path, "--function", f_path), ("oracle-verify",)):
+        proc = run_cli(*argv, "--nmax", "-1")
+        assert proc.returncode == 1, argv
+        assert "--nmax" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_birkhoff_trace_is_the_finite_averages(tmp_path):
     # 2 -> 1 -> 0 <-> 3: transient points, so the plain windows never close
     doc = {

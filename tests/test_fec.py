@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergocap import capacity, generate, measure, oracle
+from ergocap import capacity, fec, generate, measure, oracle
 from ergocap.capacity import envelope, core_contains, invariant_core_vertices
 from ergocap.fec import (
     EmptyRestrictedCore,
@@ -20,7 +20,6 @@ from ergocap.fec import (
     full_decomposition,
     invariant_vertices_decompose,
     is_fz_ergodic,
-    restricted_envelope,
     zero_one_condition,
     zero_one_witness,
 )
@@ -155,16 +154,6 @@ def test_invariant_vertices_decompose_tilted(two_blocks, tilted, swap_pairs):
     assert not invariant_vertices_decompose(tilted, swap_pairs)
 
 
-def test_restricted_envelope_examples(two_blocks, q1, q2):
-    Vr = restricted_envelope(two_blocks, q1)
-    for mask in range(16):
-        assert Vr(mask) == q1(mask)
-    full = prob("1/4", "1/4", "1/4", "1/4")
-    assert restricted_envelope(two_blocks, full).table == two_blocks.table
-    with pytest.raises(EmptyRestrictedCore):
-        restricted_envelope(envelope([q1]), q2)
-
-
 def test_full_decomposition_pure_component(two_blocks, swap_pairs, q1):
     got = full_decomposition(two_blocks, swap_pairs, q1)
     assert got.coefficients == (1, 0, 0)
@@ -203,6 +192,25 @@ def test_full_decomposition_residual_outside_core():
     got = full_decomposition(V, T, prob("1/4", "1/4", "1/4", "1/4"))
     assert got.coefficients == (F(1, 4), F(3, 4))
     assert got.measures == (prob(1, 0, 0, 0),)
+    assert got.residual == prob(0, "1/3", "1/3", "1/3")
+    assert got.residual_in_core is False
+
+
+def test_full_decomposition_enumerates_no_core(monkeypatch, two_blocks, swap_pairs):
+    # each ergodic member's weight is the mass P puts on its cycle, so no
+    # core is enumerated and no component split is run
+    def refuse(*args, **kwargs):
+        raise AssertionError("full_decomposition left its closed form")
+
+    for name in ("core_vertices", "fec_decompose", "decompose_invariant"):
+        monkeypatch.setattr(fec, name, refuse)
+    got = full_decomposition(two_blocks, swap_pairs, prob("1/8", "1/8", "3/8", "3/8"))
+    assert got.coefficients == (F(1, 4), F(3, 4), 0)
+    assert got.residual is None
+    uniform = prob("1/4", "1/4", "1/4", "1/4")
+    V = envelope([prob(1, 0, 0, 0), uniform])
+    got = full_decomposition(V, Transformation((0, 1, 2, 3)), uniform)
+    assert got.coefficients == (F(1, 4), F(3, 4))
     assert got.residual == prob(0, "1/3", "1/3", "1/3")
     assert got.residual_in_core is False
 

@@ -17,6 +17,7 @@ from ergocap.measure import (
     is_invariant,
     lebesgue_decomposition_invariant,
     mixture,
+    orbit_cycle,
     pushforward,
     singular,
 )
@@ -115,6 +116,31 @@ def test_ergodic_probabilities_are_exactly_the_cycle_uniforms(T):
         for b in got:
             if a != b:
                 assert singular(a, b)
+
+
+def test_orbit_cycle_drops_the_preperiod():
+    # the tree map of the golden reports: 3 -> 0 -> 1 <-> 2 and 4 -> 5 -> 5
+    T = Transformation((1, 2, 1, 0, 5, 5))
+    assert T.preperiod == 2
+    assert orbit_cycle(prob(0, 0, 0, 1, 0, 0), T) == [prob(0, 1, 0, 0, 0, 0), prob(0, 0, 1, 0, 0, 0)]
+    got = orbit_cycle(prob(0, 0, 0, "1/2", "1/2", 0), T)
+    assert got == [prob(0, "1/2", 0, 0, 0, "1/2"), prob(0, 0, "1/2", 0, 0, "1/2")]
+    assert orbit_cycle(prob(0, 0, 0, 0, 0, 1), T) == [prob(0, 0, 0, 0, 0, 1)]
+
+
+def test_orbit_cycle_on_a_permutation_has_its_own_length():
+    # cycles 3 + 2: a measure on one cycle repeats after that cycle's length,
+    # a measure on both after the lcm, and each cycle starts at P itself
+    T = Transformation((1, 2, 0, 4, 3))
+    point = prob(1, 0, 0, 0, 0)
+    assert orbit_cycle(point, T) == [point, prob(0, 1, 0, 0, 0), prob(0, 0, 1, 0, 0)]
+    uniform = prob(*["1/5"] * 5)
+    assert orbit_cycle(uniform, T) == [uniform]
+    P = prob("1/15", "2/15", "3/15", "4/15", "5/15")
+    got = orbit_cycle(P, T)
+    assert len(got) == 6
+    assert got[0] == P
+    assert all(pushforward(a, T) == b for a, b in zip(got, got[1:] + got[:1]))
 
 
 def test_cesaro_limit_swap():

@@ -120,6 +120,30 @@ def test_v_component_matches_window_sweep(seed):
         assert V(mask) == oracle.oracle_window_sup(P.mass, T.table, mask, 4 * L, 8 * L + 1)
 
 
+def test_v_component_runs_over_the_cell_cycle_only():
+    # cycles 3 + 4 + 5: the map's period is 60, but each conditional
+    # repeats with its own cell's cycle length l, so V_j needs at most
+    # the cycle mean and the runs of length 1..l-1 at l phases
+    T = Transformation((1, 2, 0, 4, 5, 6, 3, 8, 9, 10, 11, 7))
+    assert T.period == 60
+    P = Prob(tuple(F(w, 78) for w in range(1, 13)))
+    for cell in T.components:
+        ell = bin(cell).count("1")
+        V = v_component(measure.conditional(P, cell), T)
+        assert len(V.generators) <= ell * (ell - 1) + 1
+
+
+def test_v_component_matches_window_sweep_on_two_cycles():
+    # cycles 2 + 3: a measure charging both cycles repeats after 6 steps,
+    # one charging a single cycle after that cycle's length
+    T = Transformation((1, 0, 3, 4, 2))
+    L = T.period
+    for P in (prob("1/15", "2/15", "3/15", "4/15", "5/15"), prob(0, 0, "1/2", "1/4", "1/4")):
+        V = v_component(P, T)
+        for mask in range(1 << T.size):
+            assert V(mask) == oracle.oracle_window_sup(P.mass, T.table, mask, 4 * L, 8 * L + 1)
+
+
 def test_v_component_window_sweep_frozen():
     P = prob("1/3", "2/3")
     T = Transformation((1, 0))
