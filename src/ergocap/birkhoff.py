@@ -71,9 +71,16 @@ def limit_is_cell_mean(
     return all(limit[w] == means[cells.cell_index(w)] for w in space.points(support))
 
 
-class StepChoquet(NamedTuple):
-    value: Fraction
-    telescoped: Fraction
+# ---------------------------------------------------------------- product rules
+#
+# A product rule compares, for a pair (B, C), a limit built from the
+# hit-limit vector h_C = birkhoff_limit(T, 1_C) with a closed form built
+# from the levels Q_j(C).  Both depend on C alone, so a sweep over a
+# family of pairs works them out once per C (`hit_limits`), the data of
+# a probability once per probability (`measure_side`), and then runs one
+# row of pairs (B, C) per B, with C over the family.  A row keeps the
+# results of 2^m pairs alive instead of 4^m.  The per-pair functions
+# further down are the same pieces on a one-set family.
 
 
 def _running_unions(
@@ -104,37 +111,6 @@ def _telescope(
 def _ranked(levels: tuple[Fraction, ...], cells: Partition) -> list[tuple[Fraction, SubsetMask]]:
     """(level, cell) pairs sorted by decreasing level, ties in index order."""
     return sorted(zip(levels, cells.cells), key=lambda lc: lc[0], reverse=True)
-
-
-def comonotone_step_choquet(
-    V: UpperProb, B: SubsetMask, cells: Partition, levels: tuple[Fraction, ...]
-) -> StepChoquet:
-    """Choquet integral of sum_j levels_j 1_{A_j cap B}, two ways.
-
-    `value` comes from the general sorted-threshold formula; `telescoped`
-    is the running-union difference sum with cells pre-sorted by
-    decreasing level.  The two agree whenever all levels are nonnegative.
-    """
-    if len(levels) != len(cells):
-        raise ValueError("one level per cell required")
-    g = [ZERO] * cells.size
-    for level, cell in zip(levels, cells):
-        for w in space.points(cell & B):
-            g[w] = level
-    value = choquet_integral(V, FunctionOnSpace(tuple(g)))
-    return StepChoquet(value, _telescope(V, B, _running_unions(_ranked(levels, cells))))
-
-
-# ---------------------------------------------------------------- product rules
-#
-# A product rule compares, for a pair (B, C), a limit built from the
-# hit-limit vector h_C = birkhoff_limit(T, 1_C) with a closed form built
-# from the levels Q_j(C).  Both depend on C alone, so a sweep over a
-# family of pairs works them out once per C (`hit_limits`), the data of
-# a probability once per probability (`measure_side`), and then runs one
-# row of pairs (B, C) per B, with C over the family.  A row keeps the
-# results of 2^m pairs alive instead of 4^m.  The per-pair functions
-# further down are the same pieces on a one-set family.
 
 
 class HitLimit(NamedTuple):

@@ -10,7 +10,8 @@ common denominator and are not cached, so an envelope of hundreds of
 generators costs integer additions and holds no memory afterwards.
 
 The core {P : P(A) <= V(A) for all A} is a polytope; `core_vertices`
-enumerates its exact vertex set, and `invariant_core_vertices` does the
+enumerates its exact vertex set, or that of a face where the core
+members concentrate on a given set, and `invariant_core_vertices` does the
 same for the sub-polytope of map-invariant core members, worked in
 cycle-simplex coordinates (the invariant probabilities of a finite map
 are exactly the mixtures of its cycle uniforms).
@@ -191,13 +192,22 @@ def _checked(V: UpperProb, masses) -> tuple[Prob, ...]:
 
 
 @lru_cache(maxsize=512)
-def core_vertices(V: UpperProb) -> tuple[Prob, ...]:
+def core_vertices(V: UpperProb, within: SubsetMask | None = None) -> tuple[Prob, ...]:
     """Exact vertex set of the core polytope, in lexicographic mass order.
 
     Enumerated in the |S| coordinates of the support S = null_support(V)
-    and padded with zeros off S (see the module docstring).
+    and padded with zeros off S (see the module docstring).  With
+    `within`, the vertices of the face of core members concentrated on
+    it, in the coordinates of within & S: the module docstring's proof
+    holds with S replaced by within & S, given V(within & S) = 1.  That
+    value is V(within), attained by a generator, so the face is nonempty
+    exactly when V(within) = 1; otherwise ValueError.
     """
     S = null_support(V)
+    if within is not None:
+        S &= within
+        if V.table[S] != 1:
+            raise ValueError(f"no core member concentrates on mask {within}")
     pts = tuple(space.points(S))
     rows = []
     for mask in _proper_submasks(S):

@@ -8,9 +8,9 @@ machine block (canonical JSON, keys sorted, rationals as lowest-terms
 0 success, 1 input error (including an --nmax that is negative or above
 MAX_NMAX), 2 reported precondition failure (including a system that
 turns out not to have finite ergodic components), 3 internal error: one
-of the library's own exactness checks failed (a bug, reported as status
-"internal-error" with the failed check as its reason, never as a
-traceback).
+of the library's own exactness checks, or of the oracle's, failed (a
+bug, reported as status "internal-error" with the failed check as its
+reason, never as a traceback).
 """
 
 from __future__ import annotations
@@ -691,7 +691,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.nmax > MAX_NMAX:
             raise InputError("--nmax", f"must be at most {MAX_NMAX}, got {args.nmax}")
         if args.command == "oracle-verify":
-            code, report, human = _cmd_oracle_verify(args)
+            try:
+                code, report, human = _cmd_oracle_verify(args)
+            except InternalVerificationError:
+                raise
+            except RuntimeError as exc:  # oracle.py imports only the standard library
+                raise InternalVerificationError(f"oracle: {exc}") from exc
         else:
             if not args.file:
                 raise InputError("file", f"{args.command} needs a system file")
@@ -704,7 +709,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {"command": args.command, "status": "internal-error", "reason": str(exc)}
         _emit(report, _table([("internal error", str(exc))]), args.json_only)
         return 3
-    except (ValueError, fec.EmptyRestrictedCore) as exc:
+    except ValueError as exc:
         report = {
             "command": args.command,
             "status": "precondition-failure",

@@ -4,9 +4,12 @@ An invariant upper probability either assigns some preimage-fixed set a
 value strictly between 0 and 1 (then no component structure exists and a
 witness set is produced), or it splits the space into finitely many
 invariant cells on which its restricted envelopes are ergodic.  This
-module builds that split exactly, decomposes invariant core members over
-the per-cell measures, and extends the decomposition with a singular
-residual for invertible maps.
+module builds that split exactly from the zero-one condition, with no
+search: the cells are the components the capacity charges, each cell's
+capacity is the envelope of one face of the core, and each cell's
+measure is the one ergodic member of that capacity's core.  It then
+decomposes invariant core members over the per-cell measures, and
+extends the decomposition with a singular residual for invertible maps.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ class FECResult:
     """An ergodic component split: cells, their capacities, their measures.
 
     For each cell A_i, `capacities[i]` is the envelope of the core members
-    concentrated on A_i and `measures[i]` is the unique invariant
-    probability in that envelope's core.
+    concentrated on A_i, generated by the vertices of that face of the
+    core, and `measures[i]` is the unique invariant probability in that
+    envelope's core: the uniform measure on the charged cycle of A_i.
     """
 
     partition: Partition
@@ -111,12 +115,13 @@ def component_capacity(V: UpperProb, cell: SubsetMask) -> UpperProb:
 
     sup{P(A) : P in core(V), P(cell) = 1} is a face of the core polytope
     (the face where p(cell) <= 1 is tight), so the maximizing vertices are
-    core vertices and the envelope over them is exact.
+    the face's vertices, which `core_vertices(V, cell)` enumerates in the
+    |cell & S| coordinates, and the envelope over them is exact.  The face
+    is nonempty exactly when V(cell) = 1.
     """
-    face = [v for v in core_vertices(V) if v(cell) == 1]
-    if not face:
+    if V.table[cell] != 1:
         raise EmptyRestrictedCore(f"no core member concentrates on mask {cell}")
-    return envelope(face)
+    return envelope(core_vertices(V, cell))
 
 
 def ergodic_core_measures(V: UpperProb, T: Transformation) -> list[Prob]:
@@ -126,55 +131,35 @@ def ergodic_core_measures(V: UpperProb, T: Transformation) -> list[Prob]:
     return [Q for Q in measure.ergodic_probabilities(T) if capacity.core_contains(V, Q)]
 
 
-def _minimal_full_cell(V: UpperProb, T: Transformation, remaining: SubsetMask) -> SubsetMask:
-    """Smallest preimage-fixed subset of `remaining` with value 1.
-
-    Minimal by inclusion; among the minimal ones, least element then
-    numeric mask break ties.
-    """
-    comps = [c for c in T.components if c & remaining == c]
-    candidates = []
-    for choice in range(1, 1 << len(comps)):
-        mask = 0
-        for i, c in enumerate(comps):
-            if choice >> i & 1:
-                mask |= c
-        if V.table[mask] == 1:
-            candidates.append(mask)
-    minimal = [a for a in candidates if not any(b != a and b & a == b for b in candidates)]
-    if not minimal:
-        raise InternalVerificationError("no full-value cell inside a full-value remainder")
-    return min(minimal, key=lambda a: (a & -a, a))
-
-
 def fec_decompose(V: UpperProb, T: Transformation) -> FECResult | NotFEC:
     """Split the space into invariant cells with ergodic restricted envelopes.
 
     Returns NotFEC (with witness) when some preimage-fixed set has value
-    strictly between 0 and 1.  Otherwise cells are extracted greedily as
-    minimal full-value invariant sets; a null invariant remainder at the
-    end is folded into the last cell.
+    strictly between 0 and 1.  Otherwise each component that meets
+    null_support(V) has value 1 and the other components together have
+    value 0, so the cells are the charged components in least-point
+    order, with the null ones folded into the last cell.  Each cell's
+    capacity V_i is the envelope of its core face (`component_capacity`),
+    and its measure Q_i is the one ergodic member of V_i's core.  V_i is
+    FZ-ergodic, so an invariant member of its core charges a single cycle
+    (the component of a second one would have positive V_i on both
+    sides); the average of two such members would charge two, so there
+    is at most one, and the Cesaro mean of any core member of the
+    invariant V_i is one.  Every cell is checked: V(cell) = 1, V_i
+    invariant, FZ-ergodic and null off the cell, and exactly one ergodic
+    core member.
     """
     witness = zero_one_witness(V, T)
     if witness is not None:
         return NotFEC(witness, V.table[witness])
 
     m = V.size
-    omega = space.full_mask(m)
-    cells: list[SubsetMask] = []
-    remaining = omega
-    while remaining and V.table[remaining] == 1:
-        cell = _minimal_full_cell(V, T, remaining)
-        cells.append(cell)
-        remaining &= ~cell
-    if remaining:
-        # zero-one granted V(remaining) = 0 here: fold the null leftover
-        cells[-1] |= remaining
-
-    partition = Partition(tuple(cells), m)
+    partition = space.charged_partition(T, capacity.null_support(V))
     caps = []
     qs = []
     for cell in partition:
+        if V.table[cell] != 1:
+            raise InternalVerificationError(f"cell {cell} has value {V.table[cell]}, not 1")
         Vi = component_capacity(V, cell)
         if not capacity.is_invariant_capacity(Vi, T):
             raise InternalVerificationError("component capacity is not invariant")
@@ -182,13 +167,13 @@ def fec_decompose(V: UpperProb, T: Transformation) -> FECResult | NotFEC:
             raise InternalVerificationError("component capacity is not ergodic")
         if Vi.table[space.complement(cell, m)] != 0:
             raise InternalVerificationError("component capacity charges the cell complement")
-        invariant = invariant_core_vertices(Vi, T)
-        if len(invariant) != 1:
+        ergodic = ergodic_core_measures(Vi, T)
+        if len(ergodic) != 1:
             raise InternalVerificationError(
-                f"component capacity has {len(invariant)} invariant core members, expected exactly 1"
+                f"component capacity has {len(ergodic)} ergodic core members, expected exactly 1"
             )
         caps.append(Vi)
-        qs.append(invariant[0])
+        qs.append(ergodic[0])
     return FECResult(partition, tuple(caps), tuple(qs))
 
 

@@ -1,14 +1,13 @@
 """Component structure for a probability that is not itself invariant.
 
 Given an invertible map and any probability P, the space splits into
-invariant cells of positive mass (null leftovers folded into the last
-cell).  Conditioning P on a cell and averaging its pushforwards over
-their own cycle yields an ergodic invariant limit Q_j; the supremum of
-all two-sided window averages of the conditioned pushforwards is an
-invariant upper probability V_j.  Both are read off the cycle of P_j's
-pushforward orbit, whose length divides the map's period.  The max of
-the V_j then has finite ergodic components even though P had none of
-the symmetry to start with.
+the components P charges (null leftovers folded into the last cell).
+Conditioning P on a cell gives P_j, whose pushforwards run round a cycle
+whose length divides the map's period.  The mean of that cycle is an
+ergodic invariant limit Q_j, and its envelope is the supremum of all
+window averages of the pushforwards: an invariant upper probability
+V_j.  The max of the V_j then has finite ergodic components even though
+P had none of the symmetry to start with.
 """
 
 from __future__ import annotations
@@ -75,47 +74,29 @@ def invariant_value_set(P: Prob, T: Transformation) -> set[Fraction]:
 def v_component(P: Prob, T: Transformation) -> UpperProb:
     """Supremum of all window averages of i -> P(T^{-i}A), as an envelope.
 
-    On an invertible map the pushforwards of P repeat with the length l
-    of P's own orbit cycle (`measure.orbit_cycle`), which divides the
-    map's period.  A window of length ql + r averages q full cycles with
-    one run of length r, which is a convex combination of the cycle mean
-    and that run's mean.  The sup over every window is therefore the max
-    over the cycle mean and all runs of length 1..l-1 at each of the l
-    phases: l(l-1) + 1 generators.
+    On an invertible map P lies on its own pushforward orbit cycle
+    (`measure.orbit_cycle`), whose length l divides the map's period.
+    Every window average is a convex combination of the l members, so it
+    is at most their max, and the windows of length 1 attain it: the sup
+    is the envelope of the cycle, with l generators.
     """
     if not space.is_invertible(T):
         raise ValueError("the map must be invertible")
-    nus = measure.orbit_cycle(P, T)
-    ell = len(nus)
-    gens = [measure.mixture([Fraction(1, ell)] * ell, nus)]
-    for r in range(1, ell):
-        for s in range(ell):
-            run = [nus[(s + k) % ell] for k in range(r)]
-            gens.append(measure.mixture([Fraction(1, r)] * r, run))
-    return envelope(gens)
+    return envelope(measure.orbit_cycle(P, T))
 
 
 def irreducible_partition(P: Prob, T: Transformation) -> IrreduciblePartition:
-    """Greedy split into minimal invariant cells of positive mass.
+    """Split into minimal invariant cells of positive mass.
 
     The minimal invariant sets are the orbit components, so the cells are
     the positive-mass components in least-point order; null components
-    are folded into the last cell.
+    are folded into the last cell (`space.charged_partition`).
     """
     if not space.is_invertible(T):
         raise ValueError("the map must be invertible")
     if P.size != T.size:
         raise ValueError("measure and map live on different spaces")
-    cells = []
-    leftover = 0
-    for comp in T.components:
-        if P(comp) > 0:
-            cells.append(comp)
-        else:
-            leftover |= comp
-    if leftover:
-        cells[-1] |= leftover
-    part = Partition(tuple(cells), P.size)
+    part = space.charged_partition(T, P.support())
     conditionals = tuple(measure.conditional(P, cell) for cell in part)
     limits = tuple(measure.cesaro_limit(pj, T) for pj in conditionals)
     capacities = tuple(v_component(pj, T) for pj in conditionals)

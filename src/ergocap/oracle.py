@@ -341,18 +341,6 @@ def oracle_fec(vtable: Table, ttable: MapTable) -> tuple[tuple[tuple[int, ...], 
     return tuple(valid), witness
 
 
-def oracle_cesaro(ptable: Table, ttable: MapTable, mask: int, n_max: int) -> list[Fraction]:
-    """Literal partial averages of i -> P(T^{-i}A) for N = 1..n_max."""
-    out = []
-    total = ZERO
-    cur = mask
-    for n in range(1, n_max + 1):
-        total += sum((ptable[w] for w in range(len(ttable)) if cur >> w & 1), ZERO)
-        out.append(total / n)
-        cur = _preimage(ttable, cur)
-    return out
-
-
 def oracle_tail_average(
     ptable: Table, ttable: MapTable, mask: int, burn: int, length: int
 ) -> Fraction:

@@ -44,6 +44,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
+from .errors import InternalVerificationError
 from .space import points
 
 Vector = tuple[Fraction, ...]
@@ -139,8 +140,8 @@ def simplex_cut_vertices(dim: int, rows: Sequence[Row]) -> list[Vector]:
     for v in verts:
         total = sum(v)
         if total <= 0 or any(x < 0 for x in v):
-            raise RuntimeError("vertex escaped the simplex; cut bookkeeping is broken")
+            raise InternalVerificationError("vertex escaped the simplex; cut bookkeeping is broken")
         if any(_dot(h, v) > 0 for h in homs):
-            raise RuntimeError("vertex violates a processed constraint")
+            raise InternalVerificationError("vertex violates a processed constraint")
         out.append(tuple(Fraction(x, total) for x in v))
     return sorted(set(out))

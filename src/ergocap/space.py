@@ -238,6 +238,20 @@ class Partition:
         raise ValueError(f"point {point} not covered")
 
 
+def charged_partition(T: Transformation, support: SubsetMask) -> Partition:
+    """The components that meet `support`, in least-point order, the others folded into the last.
+
+    The cells of both component splits: of a capacity under the zero-one
+    condition (with its null support) and of a probability (with its
+    support).
+    """
+    charged = [cell for cell in T.components if cell & support]
+    if not charged:
+        raise ValueError("an empty support charges no component")
+    null = full_mask(T.size) ^ sum(charged)  # the cells are disjoint: their sum is their union
+    return Partition(tuple(charged[:-1]) + (charged[-1] | null,), T.size)
+
+
 def preimage(T: Transformation, mask: SubsetMask) -> SubsetMask:
     """The set of points mapped into `mask` by one step of T."""
     out = 0

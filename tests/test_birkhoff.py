@@ -14,7 +14,6 @@ from ergocap.birkhoff import (
     birkhoff_limit,
     cesaro_hit_limit,
     choquet_row,
-    comonotone_step_choquet,
     core_side,
     finite_average,
     hit_limits,
@@ -119,44 +118,6 @@ def test_lln_rejects_wrong_component_means(two_blocks, swap_pairs, q1, q2):
     fec = fec_decompose(two_blocks, swap_pairs)
     corrupt = FECResult(fec.partition, fec.capacities, (q2, q1))
     assert not verify_multivalue_lln(two_blocks, swap_pairs, corrupt, fn(1, 0, 0, 0))
-
-
-def test_step_choquet_constant_levels(two_blocks, swap_pairs):
-    cells = fec_decompose(two_blocks, swap_pairs).partition
-    got = comonotone_step_choquet(two_blocks, 0b0101, cells, (F(3), F(3)))
-    assert got.value == 3 * two_blocks(0b0101)
-    assert got.value == got.telescoped
-
-
-def test_step_choquet_single_block(two_blocks, swap_pairs):
-    cells = fec_decompose(two_blocks, swap_pairs).partition
-    got = comonotone_step_choquet(two_blocks, 0b1111, cells, (F(1), F(0)))
-    assert got.value == two_blocks(0b0011) == 1
-    got = comonotone_step_choquet(two_blocks, 0b0101, cells, (F(1, 2), F(0)))
-    assert got.value == F(1, 4)
-    assert got.telescoped == F(1, 4)
-
-
-def test_step_choquet_rejects_level_mismatch(two_blocks, swap_pairs):
-    cells = fec_decompose(two_blocks, swap_pairs).partition
-    with pytest.raises(ValueError):
-        comonotone_step_choquet(two_blocks, 0b1111, cells, (F(1),))
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=40)
-def test_step_choquet_forms_agree_for_nonnegative_levels(seed):
-    rng = Random(seed)
-    m = rng.randint(2, 6)
-    T = generate.random_transformation(rng, m)
-    V = generate.random_upper_prob(rng, T)
-    fec = fec_decompose(V, T)
-    if not isinstance(fec, FECResult):
-        return
-    levels = tuple(F(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(fec.n))
-    B = rng.randrange(1 << m)
-    got = comonotone_step_choquet(V, B, fec.partition, levels)
-    assert got.value == got.telescoped
 
 
 def test_independence_choquet_examples(two_blocks, swap_pairs):

@@ -441,6 +441,14 @@ NOT_INVARIANT_SYSTEM = {
     "generators": [["2/3", "1/3", 0, 0], [0, 0, "1/2", "1/2"]],
 }
 
+# Cells {0, 1} and {2}, with generators that straddle them: the core face
+# of the first cell is wider than the envelope of the generators inside it.
+STRADDLE_SYSTEM = {
+    "omega_size": 3,
+    "map": [1, 0, 2],
+    "generators": [["1/2", "1/2", 0], [0, 0, 1], ["3/4", 0, "1/4"], [0, "3/4", "1/4"]],
+}
+
 README_FUNCTION = [1, 0, "1/2", "-1/3"]
 TREE_FUNCTION = [1, -2, "1/2", 3, "-1/3", 0]
 
@@ -464,6 +472,7 @@ GOLDEN_REPORTS = {
     "tree_noninvariant.txt": (
         2, dict(TREE_SYSTEM, probability=["1/6"] * 6), ("noninvariant", "--function", TREE_FUNCTION),
     ),
+    "straddle_analyze.txt": (0, STRADDLE_SYSTEM, ("analyze",)),
     "not_fec_analyze.txt": (2, NOT_FEC_SYSTEM, ("analyze",)),
     "not_fec_check_fec.txt": (2, NOT_FEC_SYSTEM, ("check-fec",)),
     "not_fec_decompose.txt": (
@@ -542,4 +551,40 @@ def test_internal_error_exits_3_with_a_report(tmp_path, command):
         "command": command,
         "status": "internal-error",
         "reason": "component capacity is not ergodic",
+    }
+
+
+def test_polytope_self_check_exits_3_with_a_report(tmp_path):
+    script = (
+        "import math, sys\n"
+        "from ergocap import cli, polytope\n"
+        "polytope.gcd = lambda *xs: -math.gcd(*xs)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    path = write(tmp_path, "sys.json", README_SYSTEM)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "analyze", path, "--json-only"], capture_output=True, text=True
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {
+        "command": "analyze",
+        "status": "internal-error",
+        "reason": "vertex escaped the simplex; cut bookkeeping is broken",
+    }
+
+
+def test_oracle_self_check_exits_3_with_a_report(monkeypatch, capsys):
+    # the oracle imports nothing of the library, so it fails with a plain RuntimeError
+    from ergocap import cli, oracle
+
+    def broken(vtable, ttable):
+        raise RuntimeError("core LP cannot be unbounded")
+
+    monkeypatch.setattr(oracle, "oracle_fec", broken)
+    assert cli.main(["oracle-verify", "--nmax", "1", "--json-only"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "oracle-verify",
+        "status": "internal-error",
+        "reason": "oracle: core LP cannot be unbounded",
     }

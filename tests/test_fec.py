@@ -6,8 +6,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergocap import capacity, fec, generate, measure, oracle
+from ergocap import capacity, fec, generate, measure, oracle, polytope, space
 from ergocap.capacity import envelope, core_contains, invariant_core_vertices
+from ergocap.errors import InternalVerificationError
 from ergocap.fec import (
     EmptyRestrictedCore,
     FECResult,
@@ -312,3 +313,90 @@ def test_full_decomposition_reconstructs_random_instances(seed):
         assert measure.is_invariant(got.residual, T)
         for Q in got.measures:
             assert measure.singular(got.residual, Q)
+
+
+def test_component_capacity_enumerates_the_face_in_the_cell_coordinates(monkeypatch, two_blocks):
+    # the face P(cell) = 1 lives on cell & S, so its vertices are found in
+    # |cell & S| = 2 coordinates, not in the |S| = 4 of the whole core
+    capacity.core_vertices.cache_clear()
+    dims = []
+    enumerate_ = polytope.simplex_cut_vertices
+
+    def spy(dim, rows):
+        dims.append(dim)
+        return enumerate_(dim, rows)
+
+    monkeypatch.setattr(polytope, "simplex_cut_vertices", spy)
+    V1 = component_capacity(two_blocks, 0b0011)
+    assert dims == [2]
+    assert V1.generators == (prob("1/2", "1/2", 0, 0),)
+
+
+def test_fec_decompose_enumerates_no_invariant_core(monkeypatch, two_blocks, swap_pairs, q1, q2):
+    # each component measure is the one ergodic member of its capacity's
+    # core, read off the cycles, not an invariant-core enumeration
+    def refuse(*args, **kwargs):
+        raise AssertionError("fec_decompose enumerated an invariant core")
+
+    monkeypatch.setattr(fec, "invariant_core_vertices", refuse)
+    monkeypatch.setattr(capacity, "invariant_core_vertices", refuse)
+    result = fec_decompose(two_blocks, swap_pairs)
+    assert result.measures == (q1, q2)
+
+
+def test_fec_decompose_folds_null_components_into_the_last_cell():
+    # identity on three points, V = max of the point masses at 1 and 2:
+    # the null point 0 comes first but rides with the last charged cell
+    T = Transformation((0, 1, 2))
+    d1, d2 = prob(0, 1, 0), prob(0, 0, 1)
+    result = fec_decompose(envelope([d1, d2]), T)
+    assert result.partition.cells == (0b010, 0b101)
+    assert result.measures == (d1, d2)
+
+
+def test_fec_decompose_refuses_a_cell_without_full_value(monkeypatch, two_blocks, swap_pairs):
+    monkeypatch.setattr(
+        space, "charged_partition", lambda T, support: space.Partition((0b0001, 0b1110), 4)
+    )
+    with pytest.raises(InternalVerificationError, match="not 1"):
+        fec_decompose(two_blocks, swap_pairs)
+
+
+def test_component_capacity_is_not_the_restriction_of_v():
+    # a generator straddles the cells: on the 3-cycle cell the face is the
+    # uniform alone, so V_1({0}) = 1/3 while V({0}) = 1/2, and
+    # V_1(B) = V(B & cell) fails
+    T = Transformation((1, 2, 0, 3))
+    V = envelope([
+        prob("1/2", 0, 0, "1/2"),
+        prob(0, "1/2", 0, "1/2"),
+        prob(0, 0, "1/2", "1/2"),
+        prob("1/3", "1/3", "1/3", 0),
+        prob(0, 0, 0, 1),
+    ])
+    result = fec_decompose(V, T)
+    assert isinstance(result, FECResult)
+    assert result.partition.cells == (0b0111, 0b1000)
+    assert result.measures == (prob("1/3", "1/3", "1/3", 0), prob(0, 0, 0, 1))
+    V1, V2 = result.capacities
+    assert V(0b0001) == F(1, 2)
+    assert V1(0b0001) == F(1, 3)
+    assert V1.generators == (prob("1/3", "1/3", "1/3", 0),)
+    assert V2.generators == (prob(0, 0, 0, 1),)
+
+
+def test_component_capacity_is_not_the_envelope_of_the_generators_inside_the_cell():
+    # the straddling generators (3/4, 0, 1/4) and (0, 3/4, 1/4) widen the
+    # face P({0, 1}) = 1 to the segment P({0}) in [1/4, 3/4], while the one
+    # generator inside the cell gives only 1/2
+    T = Transformation((1, 0, 2))
+    inside = prob("1/2", "1/2", 0)
+    V = envelope([inside, prob(0, 0, 1), prob("3/4", 0, "1/4"), prob(0, "3/4", "1/4")])
+    result = fec_decompose(V, T)
+    assert isinstance(result, FECResult)
+    assert result.partition.cells == (0b011, 0b100)
+    assert result.measures == (inside, prob(0, 0, 1))
+    V1 = result.capacities[0]
+    assert envelope([inside])(0b001) == F(1, 2)
+    assert V1(0b001) == V1(0b010) == F(3, 4)
+    assert V1.generators == (prob("1/4", "3/4", 0), prob("3/4", "1/4", 0))

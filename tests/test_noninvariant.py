@@ -122,15 +122,27 @@ def test_v_component_matches_window_sweep(seed):
 
 def test_v_component_runs_over_the_cell_cycle_only():
     # cycles 3 + 4 + 5: the map's period is 60, but each conditional
-    # repeats with its own cell's cycle length l, so V_j needs at most
-    # the cycle mean and the runs of length 1..l-1 at l phases
+    # repeats with its own cell's cycle length l, and V_j is the envelope
+    # of those l pushforwards, one generator each
     T = Transformation((1, 2, 0, 4, 5, 6, 3, 8, 9, 10, 11, 7))
     assert T.period == 60
     P = Prob(tuple(F(w, 78) for w in range(1, 13)))
     for cell in T.components:
         ell = bin(cell).count("1")
-        V = v_component(measure.conditional(P, cell), T)
-        assert len(V.generators) <= ell * (ell - 1) + 1
+        Pj = measure.conditional(P, cell)
+        V = v_component(Pj, T)
+        assert len(V.generators) == len(measure.orbit_cycle(Pj, T)) == ell
+
+
+def test_v_component_has_one_generator_per_orbit_member():
+    # P charges all three cycles unevenly, so its orbit cycle has l = 60
+    T = Transformation((1, 2, 0, 4, 5, 6, 3, 8, 9, 10, 11, 7))
+    P = Prob(tuple(F(w, 78) for w in range(1, 13)))
+    cycle = measure.orbit_cycle(P, T)
+    assert len(cycle) == 60
+    V = v_component(P, T)
+    assert len(V.generators) == len(cycle)
+    assert capacity.is_invariant_capacity(V, T)
 
 
 def test_v_component_matches_window_sweep_on_two_cycles():

@@ -11,7 +11,6 @@ from ergocap import capacity, generate
 from ergocap.capacity import envelope
 from ergocap.measure import Prob
 from ergocap.oracle import (
-    oracle_cesaro,
     oracle_choquet,
     oracle_core_sup,
     oracle_core_vertices,
@@ -125,21 +124,13 @@ def test_fec_rejects_tilted(tilted):
 
 def test_fec_null_component_folds_either_way():
     # the massless fixed point 4 may ride with either block, so both
-    # partitions pass; the greedy path settles on the first of them
+    # partitions pass; the main path folds it into the last cell, which gives the first
     q1 = prob("1/2", "1/2", 0, 0, 0)
     q2 = prob(0, 0, "1/2", "1/2", 0)
     V = envelope([q1, q2])
     valid, witness = oracle_fec(V.table, (1, 0, 3, 2, 4))
     assert valid == ((0b00011, 0b11100), (0b10011, 0b01100))
     assert witness is None
-
-
-def test_cesaro_examples():
-    out = oracle_cesaro((F(1, 3), F(2, 3)), (1, 0), 0b01, 4)
-    assert out == [F(1, 3), F(1, 2), F(4, 9), F(1, 2)]
-    out = oracle_cesaro((ONE, F(0), F(0), F(0)), (1, 2, 3, 0), 0b0001, 8)
-    assert out[3] == F(1, 4)
-    assert out[7] == F(1, 4)
 
 
 def test_tail_average_examples():

@@ -1,9 +1,12 @@
 """Unit cases for the fraction-free double description in `polytope`."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from ergocap import polytope
+from ergocap.errors import InternalVerificationError
 from ergocap.polytope import simplex_cut_vertices
 
 F = Fraction
@@ -77,3 +80,10 @@ def test_dimension_one():
 def test_dimension_zero_is_refused():
     with pytest.raises(ValueError):
         simplex_cut_vertices(0, [])
+
+
+def test_self_checks_are_internal_errors(monkeypatch):
+    # a sign slip in the gcd reduction throws the new vertex out of the simplex
+    monkeypatch.setattr(polytope, "gcd", lambda *xs: -math.gcd(*xs))
+    with pytest.raises(InternalVerificationError, match="escaped the simplex"):
+        simplex_cut_vertices(2, [((1, 0), F(1, 2))])

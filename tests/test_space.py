@@ -192,6 +192,18 @@ def test_invariant_sets_self_check_is_an_internal_error(monkeypatch):
         T.invariant_sets
 
 
+def test_charged_partition_folds_the_rest_into_the_last_cell():
+    # components {0, 1}, {2, 3} and {4}
+    T = Transformation((1, 0, 3, 2, 4))
+    assert space.charged_partition(T, 0b11111).cells == (0b00011, 0b01100, 0b10000)
+    assert space.charged_partition(T, 0b00101).cells == (0b00011, 0b11100)
+    assert space.charged_partition(T, 0b01000).cells == (0b11111,)
+    # a null component before the charged ones still joins the last cell
+    assert space.charged_partition(T, 0b11000).cells == (0b01100, 0b10011)
+    with pytest.raises(ValueError):
+        space.charged_partition(T, 0)
+
+
 def test_partition_rejects_overlap_and_gaps():
     with pytest.raises(ValueError):
         Partition((0b0011, 0b0110), 4)
