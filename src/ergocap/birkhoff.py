@@ -164,12 +164,15 @@ def choquet_row(
     lhs integrates 1_B * h_C against V; rhs telescopes V over running
     unions of cells sorted by decreasing Q_j(C), and rhs_unsorted does the
     same in index order, with order_sensitive flagging any gap between
-    the two.
+    the two.  The sizes are checked once per row, so each lhs goes to the
+    body of `choquet_integral` without a validated `FunctionOnSpace`.
     """
+    if any(len(c.hits) != V.size for c in limits):
+        raise ValueError("function and capacity live on different spaces")
     out = []
     for c in limits:
-        g = FunctionOnSpace(tuple(h if B >> w & 1 else ZERO for w, h in enumerate(c.hits)))
-        lhs = choquet_integral(V, g)
+        g = tuple(h if B >> w & 1 else ZERO for w, h in enumerate(c.hits))
+        lhs = capacity._choquet(V.table, g)
         rhs = _telescope(V, B, c.ranked)
         rhs_unsorted = _telescope(V, B, c.indexed)
         out.append(IndependenceChoquet(lhs, rhs, lhs == rhs, rhs_unsorted, rhs != rhs_unsorted, ()))

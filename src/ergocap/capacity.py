@@ -1,13 +1,14 @@
 """Upper probabilities as exact envelopes of finitely many probabilities.
 
-An upper probability here is always stored as its full value table over
-the 2**m subsets together with a generating family of probabilities whose
-pointwise maximum the table is.  Construction validates normalization,
-monotonicity, and the envelope identity, so every `UpperProb` in
-circulation is coherent: its table equals the subset-wise maximum over
-its own core.  Subset sums of generators are worked in integers over a
-common denominator and are not cached, so an envelope of hundreds of
-generators costs integer additions and holds no memory afterwards.
+An upper probability here is built from a generating family of
+probabilities alone, and its full value table over the 2**m subsets is
+worked out once, on build, as their pointwise maximum.  So every
+`UpperProb` in circulation is coherent by construction rather than by
+re-validation: its table is normalized, monotone, and equal to the
+subset-wise maximum over its own core.  Subset sums of generators are
+worked in integers over a common denominator and are not cached, so an
+envelope of hundreds of generators costs integer additions and holds no
+memory afterwards.
 
 The core {P : P(A) <= V(A) for all A} is a polytope; `core_vertices`
 enumerates its exact vertex set, or that of a face where the core
@@ -31,7 +32,7 @@ bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -89,42 +90,28 @@ def _scaled_envelope(gens) -> tuple[int, list[int]]:
 class UpperProb:
     """An upper probability: the set-wise maximum of its generators.
 
-    table[A] is the value at bitmask A.  Invariants checked on build:
-    table[empty] = 0, table[omega] = 1, monotone under inclusion, and
-    table = max over generators everywhere (so the generators certify
-    coherence).
+    The generators are the only input.  table[A], the value at bitmask A,
+    is worked out once on build as max_i P_i(A), in integers over a
+    common denominator.  So table[empty] = 0, table[omega] = 1,
+    monotonicity under inclusion and the envelope identity hold by
+    construction (each P_i is monotone, and so is a maximum of monotone
+    functions): the generators certify coherence, and nothing is
+    re-validated.
     """
 
-    table: tuple[Fraction, ...]
     generators: tuple[Prob, ...]
+    table: tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        table = tuple(_as_fraction(v) for v in self.table)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "generators", tuple(self.generators))
-        n = len(table)
-        if n == 0 or n & (n - 1):
-            raise ValueError("table length must be a power of two")
-        m = n.bit_length() - 1
-        if not 1 <= m <= space.MAX_POINTS:
-            raise ValueError(f"table must cover 1..{space.MAX_POINTS} points")
-        if not self.generators:
+        gens = tuple(self.generators)
+        object.__setattr__(self, "generators", gens)
+        if not gens:
             raise ValueError("an envelope needs at least one generator")
-        if table[0] != 0:
-            raise ValueError("value at the empty set must be 0")
-        if table[-1] != 1:
-            raise ValueError("value at the whole space must be 1")
-        if any(gen.size != m for gen in self.generators):
-            raise ValueError("generator lives on a different space")
-        den, best = _scaled_envelope(self.generators)
-        for mask, (b, v) in enumerate(zip(best, table)):
-            if b * v.denominator != v.numerator * den:
-                raise ValueError(f"table is not the generator envelope at mask {mask}")
-        # table = best / den now, so monotonicity can be read off best
-        for mask in range(n):
-            for w in range(m):
-                if not mask >> w & 1 and best[mask] > best[mask | 1 << w]:
-                    raise ValueError("table is not monotone under inclusion")
+        if any(g.size != gens[0].size for g in gens):
+            raise ValueError("generators live on different spaces")
+        den, best = _scaled_envelope(gens)
+        values = {b: Fraction(b, den) for b in set(best)}
+        object.__setattr__(self, "table", tuple(map(values.__getitem__, best)))
 
     @property
     def size(self) -> int:
@@ -133,32 +120,19 @@ class UpperProb:
     def __call__(self, mask: SubsetMask) -> Fraction:
         return self.table[mask]
 
-    @property
-    def omega(self) -> SubsetMask:
-        return space.full_mask(self.size)
-
 
 def envelope(generators) -> UpperProb:
     """The upper probability max_i P_i(.) of a family of probabilities.
 
-    Duplicate generators are dropped (first occurrence kept).
+    Duplicate generators are dropped (first occurrence kept, order
+    preserved).
     """
-    gens = []
-    seen = set()
+    gens = {}
     for gen in generators:
         if not isinstance(gen, Prob):
             gen = Prob(tuple(gen))
-        if gen.mass not in seen:
-            seen.add(gen.mass)
-            gens.append(gen)
-    if not gens:
-        raise ValueError("an envelope needs at least one generator")
-    m = gens[0].size
-    if any(g.size != m for g in gens):
-        raise ValueError("generators live on different spaces")
-    den, best = _scaled_envelope(gens)
-    table = tuple(Fraction(b, den) for b in best)
-    return UpperProb(table, tuple(gens))
+        gens.setdefault(gen.mass, gen)
+    return UpperProb(tuple(gens.values()))
 
 
 def core_contains(V: UpperProb, P: Prob) -> bool:
@@ -262,14 +236,18 @@ def choquet_integral(V: UpperProb, f: FunctionOnSpace) -> Fraction:
     """
     if f.size != V.size:
         raise ValueError("function and capacity live on different spaces")
-    values = f.values
+    return _choquet(V.table, f.values)
+
+
+def _choquet(table: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> Fraction:
+    """`choquet_integral` of the values against the table, whose space they must match."""
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     mask = 0
     total = ZERO
     for w, below in zip(order, order[1:]):
         mask |= 1 << w
         if values[below] != values[w]:
-            total += (values[w] - values[below]) * V.table[mask]
+            total += (values[w] - values[below]) * table[mask]
     return total + values[order[-1]]  # V(omega) = 1
 
 

@@ -240,7 +240,9 @@ def _invariant(report: dict, V: UpperProb, T: Transformation) -> bool:
 def _decomposition(report: dict, V: UpperProb, T: Transformation) -> FECResult | NotFEC | None:
     """fec_decompose(V, T) after the invariance check, or None when V is not invariant.
 
-    Either failure is recorded in the report's status and reason.
+    Either failure is recorded in the report's status and reason.  The
+    result is NotFEC exactly when the zero-one condition fails, so the
+    reports read that condition off it.
     """
     if not _invariant(report, V, T):
         return None
@@ -265,7 +267,7 @@ def _cmd_analyze(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
     report["invariant"] = result is not None
     if result is None:
         return 2, report, _table([("invariant", "no")])
-    report["zero_one"] = fec.zero_one_condition(V, T)
+    report["zero_one"] = not isinstance(result, NotFEC)
     report["fz_ergodic"] = fec.is_fz_ergodic(V, T)
     report["fec"] = _fec_report(result)
     report["support"] = _pts(capacity.null_support(V))
@@ -303,7 +305,7 @@ def _cmd_check_fec(desc: SystemDescription, args) -> tuple[int, dict, list[str]]
     result = _decomposition(report, V, T)
     if result is None:
         return 2, report, _table([("invariant", "no")])
-    report["zero_one"] = fec.zero_one_condition(V, T)
+    report["zero_one"] = not isinstance(result, NotFEC)
     report["fec"] = _fec_report(result)
     if isinstance(result, NotFEC):
         human = _table(

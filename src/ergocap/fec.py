@@ -63,16 +63,17 @@ class FECResult:
 class DecompositionResult:
     """Coefficients of P over the component measures, plus any residual.
 
-    `coefficients[i]` weights `measures[i]`; when a residual is present
-    the last coefficient weights it, and the residual is invariant and
-    singular to every component measure.  `residual_in_core` records
-    whether the residual also satisfies every capacity bound; that is not
-    guaranteed (see the four-point witness in the tests), so it is
-    reported rather than assumed.  A residual arises only when V lacks
-    FEC: under the zero-one condition a cell meeting the complement of the
-    ergodic members' support in a non-null set would, by Cesaro averaging,
-    carry a second invariant member of its component core, so P puts no
-    mass off that support.
+    `coefficients[i]` weights `measures[i]`.  In full mode
+    (`full_decomposition`) there is always one more coefficient, the last:
+    the residual's weight, which is 0/1 when there is no residual.  A
+    residual is invariant and singular to every component measure.
+    `residual_in_core` records whether the residual also satisfies every
+    capacity bound; that is not guaranteed (see the four-point witness in
+    the tests), so it is reported rather than assumed.  A residual arises
+    only when V lacks FEC: under the zero-one condition a cell meeting
+    the complement of the ergodic members' support in a non-null set
+    would, by Cesaro averaging, carry a second invariant member of its
+    component core, so P puts no mass off that support.
     """
 
     coefficients: tuple[Fraction, ...]
@@ -235,17 +236,18 @@ def invariant_vertices_decompose(V: UpperProb, T: Transformation) -> bool:
 def full_decomposition(V: UpperProb, T: Transformation, P: Prob) -> DecompositionResult:
     """Mixture over the ergodic core members plus an invariant singular residual.
 
-    Requires an invertible map, a nonempty ergodic core, and an invariant
-    core member P.  P is split against the average R of the ergodic core
-    members; the part << R lives on their cycles, so each member q weighs
-    P(supp q), and the part perpendicular to R becomes the residual.
-    Reconstruction, residual invariance, and residual singularity are
-    verified exactly;
-    whether the residual also lies in the core is reported, not assumed.
+    Requires an invertible map, an invariant V with a nonempty ergodic
+    core, and an invariant core member P.  P is split against the
+    average R of the ergodic core members; the part << R lives on their
+    cycles, so each member q weighs P(supp q), and the part perpendicular
+    to R becomes the residual.  Reconstruction, residual invariance, and
+    residual singularity are verified exactly; whether the residual also
+    lies in the core is reported, not assumed.
     When V has FEC there is no residual (see `DecompositionResult`).
     """
     if not space.is_invertible(T):
         raise ValueError("full decomposition requires an invertible map")
+    _require_invariant(V, T)
     if not measure.is_invariant(P, T):
         raise ValueError("P is not invariant under the map")
     if not capacity.core_contains(V, P):

@@ -25,10 +25,6 @@ class KoopmanMatrix:
 
     rows: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
 
 def koopman_matrix(T: Transformation) -> KoopmanMatrix:
     rows = []

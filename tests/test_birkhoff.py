@@ -222,6 +222,8 @@ def test_sweep_rows_match_the_per_pair_functions(seed):
         assert (swept.lhs, swept.rhs, swept.rhs_unsorted) == (
             single.lhs, single.rhs, single.rhs_unsorted
         )
+        g = FunctionOnSpace(tuple(h if B >> w & 1 else 0 for w, h in enumerate(limits[C].hits)))
+        assert swept.lhs == capacity.choquet_integral(V, g)
         assert swept.equal
         for P, side in zip(verts, sides):
             swept = measure_row(side, B, limits)[C]
@@ -239,6 +241,14 @@ def test_sweep_rows_run_in_family_order(two_blocks, swap_pairs):
     row = choquet_row(two_blocks, 0b1111, limits)
     assert [out.rhs for out in row] == [1, 1, 1, F(1, 2)]
     assert [out.order_sensitive for out in row] == [False, False, True, False]
+
+
+def test_choquet_row_rejects_size_mismatch(two_blocks):
+    T = Transformation((1, 0, 2))
+    fec = fec_decompose(envelope([Prob((F(1, 2), F(1, 2), F(0)))]), T)
+    limits = hit_limits(T, fec.partition, fec.measures, [0b001])
+    with pytest.raises(ValueError):
+        choquet_row(two_blocks, 0b0001, limits)
 
 
 def test_core_side_refuses_a_measure_outside_the_core(two_blocks, swap_pairs):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from ergocap import capacity, generate, measure, oracle, polytope, space
 from ergocap.capacity import (
     FunctionOnSpace,
+    UpperProb,
     choquet_integral,
     core_contains,
     core_vertices,
@@ -80,10 +81,49 @@ def test_envelope_two_blocks_values(two_blocks):
 
 
 def test_envelope_rejects_empty_and_mixed_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^an envelope needs at least one generator$"):
         envelope([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^generators live on different spaces$"):
         envelope([prob(1, 0), prob(1, 0, 0)])
+
+
+@st.composite
+def generator_families(draw, max_m=6):
+    """Families over up to max_m points with unlike denominators and repeated members."""
+    m = draw(st.integers(1, max_m))
+    distinct = draw(st.lists(probs_on(m), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    return [distinct[i] for i in picks]
+
+
+@given(generator_families())
+def test_envelope_table_is_the_literal_max_over_generators(gens):
+    # summed in Fractions, point by point, with none of the integer helpers
+    V = envelope(gens)
+    m = gens[0].size
+    assert len(V.table) == 1 << m
+    for mask in range(1 << m):
+        literal = max(sum((P.mass[w] for w in range(m) if mask >> w & 1), F(0)) for P in gens)
+        assert V.table[mask] == literal
+
+
+def test_envelope_drops_repeats_keeping_the_first_occurrence_in_order():
+    a, b, c = prob(1, 0, 0), prob(0, "1/2", "1/2"), prob("1/3", "1/3", "1/3")
+    a_again, b_again = prob(1, 0, 0), prob(0, "1/2", "1/2")
+    V = envelope([b, a, b_again, c, a_again])
+    assert V.generators == (b, a, c)
+    assert V.generators[0] is b and V.generators[1] is a
+    assert envelope([(0, F(1, 2), F(1, 2)), (1, 0, 0), b]).generators == (b, a)
+
+
+def test_upper_prob_is_built_from_its_generators_alone():
+    gens = (prob("1/2", "1/2", 0), prob(0, "1/4", "3/4"), prob("1/3", 0, "2/3"))
+    assert UpperProb(gens) == envelope(gens)
+    assert UpperProb(list(gens)).generators == gens
+    with pytest.raises(TypeError):
+        UpperProb(gens, envelope(gens).table)
+    with pytest.raises(ValueError, match="^an envelope needs at least one generator$"):
+        UpperProb(())
 
 
 def test_core_contains_generators_and_interior(two_blocks, q1, q2):

@@ -483,6 +483,9 @@ GOLDEN_REPORTS = {
     "not_fec_independence.txt": (2, NOT_FEC_SYSTEM, ("independence",)),
     "not_invariant_analyze.txt": (2, NOT_INVARIANT_SYSTEM, ("analyze",)),
     "not_invariant_check_fec.txt": (2, NOT_INVARIANT_SYSTEM, ("check-fec",)),
+    "not_invariant_decompose.txt": (
+        2, NOT_INVARIANT_SYSTEM, ("decompose", "--probability", ["1/4", "1/4", "1/4", "1/4"]),
+    ),
     "not_invariant_koopman.txt": (2, NOT_INVARIANT_SYSTEM, ("koopman",)),
     "not_invariant_birkhoff.txt": (
         2, NOT_INVARIANT_SYSTEM, ("birkhoff", "--function", README_FUNCTION, "--nmax", "8"),

@@ -226,6 +226,15 @@ def test_full_decomposition_preconditions(two_blocks, swap_pairs, q1):
         full_decomposition(spread, swap_pairs, prob("1/4", "1/4", "1/4", "1/4"))
 
 
+def test_full_decomposition_refuses_a_capacity_that_is_not_invariant(swap_pairs):
+    # the swap moves the 2/3 of the first generator onto point 1; on an
+    # invertible map full_decomposition runs no component split that
+    # would refuse V, so it checks invariance itself
+    V = envelope([prob("2/3", "1/3", 0, 0), prob(0, 0, "1/2", "1/2")])
+    with pytest.raises(ValueError, match="^capacity is not invariant under the map$"):
+        full_decomposition(V, swap_pairs, prob("1/4", "1/4", "1/4", "1/4"))
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=40)
 def test_four_predicates_agree(seed):
