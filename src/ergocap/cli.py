@@ -361,12 +361,12 @@ def _cmd_koopman(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
         return 2, report, _table([("invariant", "no")])
     matrix = koopman.koopman_matrix(T)
     basis = koopman.invariant_function_basis(V, T)
-    report["matrix"] = [[_frac(x) for x in row] for row in matrix.rows]
+    report["matrix"] = [[_frac(x) for x in row] for row in matrix]
     report["multiplicity"] = len(basis)
     report["fixed_basis"] = [_vec(f.values) for f in basis]
     rows = [
         ("multiplicity", str(len(basis))),
-        ("matrix", str([[str(x.numerator) for x in row] for row in matrix.rows])),
+        ("matrix", str([[str(x.numerator) for x in row] for row in matrix])),
     ]
     for i, f in enumerate(basis):
         rows.append((f"basis {i + 1}", str(_vec(f.values))))
@@ -435,6 +435,26 @@ def _pair_family(m: int, cells: tuple[int, ...]) -> list[int]:
     return sorted(fam)
 
 
+def _sweep(family: list[int], row, violations: list[dict], **tag) -> tuple[int, int]:
+    """Run the product rule row `row(B)` for each B of the family, against each C of it.
+
+    Appends the first ten unequal pairs, each with `tag`, to `violations`
+    and returns (pairs checked, order-sensitive pairs).
+    """
+    checked = 0
+    order_sensitive = 0
+    for b in family:
+        for c, out in zip(family, row(b)):
+            checked += 1
+            if getattr(out, "order_sensitive", False):  # only Choquet pairs carry the flag
+                order_sensitive += 1
+            if not out.equal and len(violations) < 10:
+                violations.append(
+                    {**tag, "B": _pts(b), "C": _pts(c), "lhs": _frac(out.lhs), "rhs": _frac(out.rhs)}
+                )
+    return checked, order_sensitive
+
+
 def _cmd_independence(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
     V = _require_generators(desc)
     T = desc.T
@@ -446,36 +466,16 @@ def _cmd_independence(desc: SystemDescription, args) -> tuple[int, dict, list[st
         return 2, report, _table([("FEC", "no")])
     family = _pair_family(desc.size, result.partition.cells)
     limits = birkhoff.hit_limits(T, result.partition, result.measures, family)
-    violations = []
-    order_sensitive = 0
-    checked = 0
-    for b in family:
-        for c, out in zip(family, birkhoff.choquet_row(V, b, limits)):
-            checked += 1
-            if out.order_sensitive:
-                order_sensitive += 1
-            if not out.equal and len(violations) < 10:
-                violations.append(
-                    {"B": _pts(b), "C": _pts(c), "lhs": _frac(out.lhs), "rhs": _frac(out.rhs)}
-                )
+    violations: list[dict] = []
+    checked, order_sensitive = _sweep(family, lambda b: birkhoff.choquet_row(V, b, limits), violations)
     verts = capacity.invariant_core_vertices(V, T)
-    core_violations = []
+    core_violations: list[dict] = []
     core_checked = 0
     for P in verts:
         side = birkhoff.core_side(V, P, result.partition, limits)
-        for b in family:
-            for c, out in zip(family, birkhoff.measure_row(side, b, limits)):
-                core_checked += 1
-                if not out.equal and len(core_violations) < 10:
-                    core_violations.append(
-                        {
-                            "P": _vec(P.mass),
-                            "B": _pts(b),
-                            "C": _pts(c),
-                            "lhs": _frac(out.lhs),
-                            "rhs": _frac(out.rhs),
-                        }
-                    )
+        core_checked += _sweep(
+            family, lambda b: birkhoff.measure_row(side, b, limits), core_violations, P=_vec(P.mass)
+        )[0]
     cells = result.partition.cells
     featured_b = cells[0]
     featured_c = cells[-1]
@@ -516,10 +516,9 @@ def _cmd_noninvariant(desc: SystemDescription, args) -> tuple[int, dict, list[st
     T = desc.T
     if desc.probability is None:
         raise InputError("probability", "noninvariant needs the probability field")
-    sys_ = noninvariant.NoninvariantSystem(desc.probability, T)
-    part = noninvariant.irreducible_partition(sys_.P, sys_.T)
-    values = sorted(noninvariant.invariant_value_set(sys_.P, sys_.T))
-    check = noninvariant.verify_construction(sys_, part)
+    part = noninvariant.irreducible_partition(desc.probability, T)
+    values = sorted(noninvariant.invariant_value_set(part.P, T))
+    check = noninvariant.verify_construction(part)
     report: dict = {
         "command": "noninvariant",
         "status": "ok",
@@ -540,17 +539,10 @@ def _cmd_noninvariant(desc: SystemDescription, args) -> tuple[int, dict, list[st
     if desc.size <= 8:
         report["v_tables"] = [_vec(V.table) for V in part.capacities]
     family = _pair_family(desc.size, part.cells.cells)
-    violations = []
-    checked = 0
     limits = birkhoff.hit_limits(T, part.cells, part.limits, family)
-    side = birkhoff.measure_side(sys_.P, part.cells, limits)
-    for b in family:
-        for c, out in zip(family, birkhoff.measure_row(side, b, limits)):
-            checked += 1
-            if not out.equal and len(violations) < 10:
-                violations.append(
-                    {"B": _pts(b), "C": _pts(c), "lhs": _frac(out.lhs), "rhs": _frac(out.rhs)}
-                )
+    side = birkhoff.measure_side(part.P, part.cells, limits)
+    violations: list[dict] = []
+    checked, _ = _sweep(family, lambda b: birkhoff.measure_row(side, b, limits), violations)
     report["independence"] = {
         "pairs_checked": checked,
         "all_equal": not violations,
@@ -558,7 +550,7 @@ def _cmd_noninvariant(desc: SystemDescription, args) -> tuple[int, dict, list[st
     }
     if args.function:
         f = FunctionOnSpace(tuple(_load_vector(args.function, "function", desc.size)))
-        report["lln"] = noninvariant.noninvariant_lln(sys_, f, part)
+        report["lln"] = noninvariant.noninvariant_lln(part, f)
     else:
         report["lln"] = None
     rows = [
@@ -656,7 +648,7 @@ def _cmd_oracle_verify(args) -> tuple[int, dict, list[str]]:
     for name in sorted(counts):
         rows.append((name, str(counts[name])))
     rows.append(("all pass", _yes(all_pass)))
-    return (0 if all_pass else 2), report, rows and _table(rows)
+    return (0 if all_pass else 2), report, _table(rows)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -178,9 +178,7 @@ def fec_decompose(V: UpperProb, T: Transformation) -> FECResult | NotFEC:
     return FECResult(partition, tuple(caps), tuple(qs))
 
 
-def decompose_invariant(
-    V: UpperProb, T: Transformation, P: Prob, fec: FECResult | None = None
-) -> DecompositionResult:
+def decompose_invariant(V: UpperProb, T: Transformation, P: Prob) -> DecompositionResult:
     """Write an invariant core member as a mixture of the component measures.
 
     The weights are the cell masses P(A_i); the reconstruction is verified
@@ -190,8 +188,7 @@ def decompose_invariant(
         raise ValueError("P is not invariant under the map")
     if not capacity.core_contains(V, P):
         raise ValueError("P is not in the core")
-    if fec is None:
-        fec = fec_decompose(V, T)
+    fec = fec_decompose(V, T)
     if isinstance(fec, NotFEC):
         raise ValueError(
             f"no component structure: mask {fec.witness} has value {fec.value}"
@@ -237,12 +234,13 @@ def full_decomposition(V: UpperProb, T: Transformation, P: Prob) -> Decompositio
     """Mixture over the ergodic core members plus an invariant singular residual.
 
     Requires an invertible map, an invariant V with a nonempty ergodic
-    core, and an invariant core member P.  P is split against the
-    average R of the ergodic core members; the part << R lives on their
-    cycles, so each member q weighs P(supp q), and the part perpendicular
-    to R becomes the residual.  Reconstruction, residual invariance, and
-    residual singularity are verified exactly; whether the residual also
-    lies in the core is reported, not assumed.
+    core, and an invariant core member P.  An invariant P is a mixture of
+    the uniforms on the map's cycles, so each ergodic core member q weighs
+    P(supp q), and the rest of P, of weight l = 1 - sum P(supp q), lives
+    off the union of their supports: conditioned on that complement it
+    is the residual.  Reconstruction, residual invariance, and residual
+    singularity are verified exactly; whether the residual also lies in
+    the core is reported, not assumed.
     When V has FEC there is no residual (see `DecompositionResult`).
     """
     if not space.is_invertible(T):
@@ -253,22 +251,23 @@ def full_decomposition(V: UpperProb, T: Transformation, P: Prob) -> Decompositio
     if not capacity.core_contains(V, P):
         raise ValueError("P is not in the core")
     qs = ergodic_core_measures(V, T)
-    n = len(qs)
-    if n == 0:
+    if not qs:
         raise ValueError("the core contains no ergodic measure")
-    R = Prob(measure.mixture([Fraction(1, n)] * n, qs))
 
-    _, _, l, Ps = measure.lebesgue_decomposition_invariant(P, R, T)
+    coeffs = []
+    union = 0
+    for q in qs:
+        supp = q.support()
+        coeffs.append(P(supp))
+        union |= supp
+    l = 1 - sum(coeffs)
 
-    # Pa is invariant and lives on the cycles of the qs, so on an
-    # invertible map Pa = sum Pa(supp q) q, and k Pa(supp q) = P(supp q).
-    coeffs = [P(q.support()) for q in qs]
-
-    residual = Ps if l > 0 else None
-    if residual is None:
-        recon = measure.mixture(coeffs, qs)
-    else:
+    if l > 0:
+        residual = measure.conditional(P, space.complement(union, T.size))
         recon = measure.mixture(coeffs + [l], qs + [residual])
+    else:
+        residual = None
+        recon = measure.mixture(coeffs, qs)
     if recon != P.mass:
         raise InternalVerificationError("mixture plus residual missed P")
 

@@ -1,14 +1,14 @@
 """Composition operator of the map, restricted to almost-sure agreement.
 
 For a deterministic map the composition operator (Uf)(w) = f(T(w)) is the
-0-1 matrix with row w picking out column T(w).  Fixed functions up to
-V-null sets are constant on the pieces of the support graph, and the
-number of those pieces recovers the component count of the capacity.
+0-1 matrix with row w picking out column T(w); `koopman_matrix` returns
+its rows as a tuple.  Fixed functions up to V-null sets are constant on
+the pieces of the support graph, and the number of those pieces recovers
+the component count of the capacity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import space
@@ -19,20 +19,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class KoopmanMatrix:
-    """Row-stochastic 0-1 matrix of f -> f . T in the point basis."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-
-def koopman_matrix(T: Transformation) -> KoopmanMatrix:
+def koopman_matrix(T: Transformation) -> tuple[tuple[Fraction, ...], ...]:
+    """The row-stochastic 0-1 matrix of f -> f . T in the point basis, as its rows."""
     rows = []
     for w in range(T.size):
         row = [ZERO] * T.size
         row[T(w)] = ONE
         rows.append(tuple(row))
-    return KoopmanMatrix(tuple(rows))
+    return tuple(rows)
 
 
 def invariant_function_basis(V: UpperProb, T: Transformation) -> list[FunctionOnSpace]:

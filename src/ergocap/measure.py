@@ -18,7 +18,6 @@ from . import space
 from .space import SubsetMask, Transformation
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -195,51 +194,8 @@ def invariant_skeleton(P: Prob, T: Transformation) -> Prob:
     return skel
 
 
-def abs_continuous(P: Prob, R: Prob) -> bool:
-    """P << R: every R-null point is P-null."""
-    if P.size != R.size:
-        raise ValueError("measures live on different spaces")
-    return P.support() & ~R.support() == 0
-
-
 def singular(P: Prob, R: Prob) -> bool:
     """P and R concentrate on disjoint sets."""
     if P.size != R.size:
         raise ValueError("measures live on different spaces")
     return P.support() & R.support() == 0
-
-
-def lebesgue_decomposition_invariant(
-    P: Prob, R: Prob, T: Transformation
-) -> tuple[Fraction, Prob | None, Fraction, Prob | None]:
-    """Split invariant P into invariant parts << R and perpendicular to R.
-
-    Requires both measures invariant and the map invertible.  Returns
-    ``(k, Pa, l, Ps)`` with ``P = k*Pa + l*Ps``, ``Pa << R``, ``Ps`` singular
-    to R, and both parts invariant.  The boundary cases k = 0 and l = 0 are
-    permitted; the undefined conditional slot is then None.
-    """
-    if not space.is_invertible(T):
-        raise ValueError("decomposition requires an invertible map")
-    if not is_invariant(P, T):
-        raise ValueError("P is not invariant under the map")
-    if not is_invariant(R, T):
-        raise ValueError("R is not invariant under the map")
-    # For an invertible map an invariant measure's support is a union of
-    # cycles, hence itself preimage-fixed: conditioning on it preserves
-    # invariance.
-    S = R.support()
-    if not space.is_invariant_set(T, S):
-        raise InternalVerificationError("support of an invariant measure is not fixed")
-    k = P(S)
-    l = ONE - k
-    Pa = conditional(P, S) if k > 0 else None
-    Ps = conditional(P, space.complement(S, T.size)) if l > 0 else None
-    for part in (Pa, Ps):
-        if part is not None and not is_invariant(part, T):
-            raise InternalVerificationError("conditional of an invariant measure on a fixed set is not invariant")
-    if Pa is not None and not abs_continuous(Pa, R):
-        raise InternalVerificationError("absolutely continuous part escapes the support of R")
-    if Ps is not None and not singular(Ps, R):
-        raise InternalVerificationError("singular part meets the support of R")
-    return k, Pa, l, Ps

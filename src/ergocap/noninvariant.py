@@ -7,7 +7,10 @@ whose length divides the map's period.  The mean of that cycle is an
 ergodic invariant limit Q_j, and its envelope is the supremum of all
 window averages of the pushforwards: an invariant upper probability
 V_j.  The max of the V_j then has finite ergodic components even though
-P had none of the symmetry to start with.
+P had none of the symmetry to start with.  `irreducible_partition` checks
+the inputs once and keeps P and T in the partition it returns, so the
+checks, the law of large numbers and the product rule take that
+partition alone.
 """
 
 from __future__ import annotations
@@ -18,33 +21,21 @@ from fractions import Fraction
 from . import birkhoff, capacity, fec, measure, space
 from .birkhoff import IndependencePair
 from .capacity import UpperProb, envelope
-from .fec import FECResult
+from .fec import FECResult, NotFEC
 from .measure import Prob
 from .space import Partition, SubsetMask, Transformation
 
 
 @dataclass(frozen=True)
-class NoninvariantSystem:
-    """An invertible map together with an arbitrary probability."""
-
-    P: Prob
-    T: Transformation
-
-    def __post_init__(self) -> None:
-        if self.P.size != self.T.size:
-            raise ValueError("measure and map live on different spaces")
-        if not space.is_invertible(self.T):
-            raise ValueError("the map must be invertible")
-
-
-@dataclass(frozen=True)
 class IrreduciblePartition:
-    """Invariant positive-mass cells with their conditioned data.
+    """Invariant positive-mass cells of P under T with their conditioned data.
 
     Index j carries the cell, the conditional P_j, the period-averaged
     limit Q_j, and the window-supremum capacity V_j.
     """
 
+    P: Prob
+    T: Transformation
     cells: Partition
     conditionals: tuple[Prob, ...]
     limits: tuple[Prob, ...]
@@ -100,7 +91,7 @@ def irreducible_partition(P: Prob, T: Transformation) -> IrreduciblePartition:
     conditionals = tuple(measure.conditional(P, cell) for cell in part)
     limits = tuple(measure.cesaro_limit(pj, T) for pj in conditionals)
     capacities = tuple(v_component(pj, T) for pj in conditionals)
-    return IrreduciblePartition(part, conditionals, limits, capacities)
+    return IrreduciblePartition(P, T, part, conditionals, limits, capacities)
 
 
 def combined_capacity(part: IrreduciblePartition) -> UpperProb:
@@ -113,7 +104,12 @@ def combined_capacity(part: IrreduciblePartition) -> UpperProb:
 
 @dataclass(frozen=True)
 class ConstructionReport:
-    """Outcome of the four structure checks, each by its own code path."""
+    """Outcome of the structure checks on an `IrreduciblePartition`.
+
+    `fec_ok` and `zero_one` come from one `fec_decompose` call on the
+    combined capacity: it returns `NotFEC` exactly when the zero-one
+    condition fails.
+    """
 
     q_ergodic: tuple[bool, ...]
     v_invariant: tuple[bool, ...]
@@ -133,14 +129,10 @@ class ConstructionReport:
         )
 
 
-def verify_construction(
-    sys: NoninvariantSystem, part: IrreduciblePartition | None = None
-) -> ConstructionReport:
+def verify_construction(part: IrreduciblePartition) -> ConstructionReport:
     """Check the constructed data: ergodic limits, ergodic capacities,
     component structure of the max, and the zero-one property."""
-    if part is None:
-        part = irreducible_partition(sys.P, sys.T)
-    T = sys.T
+    T = part.T
     q_ergodic = tuple(
         measure.is_invariant(Q, T)
         and measure.is_ergodic(Q, T)
@@ -154,34 +146,24 @@ def verify_construction(
     )
     combined = combined_capacity(part)
     if capacity.is_invariant_capacity(combined, T):
-        fec_ok = isinstance(fec.fec_decompose(combined, T), FECResult)
-        zero_one = fec.zero_one_condition(combined, T)
+        result = fec.fec_decompose(combined, T)
+        fec_ok = isinstance(result, FECResult)
+        zero_one = not isinstance(result, NotFEC)
     else:
         fec_ok = False
         zero_one = False
     return ConstructionReport(q_ergodic, v_invariant, v_fz, combined, fec_ok, zero_one)
 
 
-def noninvariant_lln(
-    sys: NoninvariantSystem,
-    f: capacity.FunctionOnSpace,
-    part: IrreduciblePartition | None = None,
-) -> bool:
+def noninvariant_lln(part: IrreduciblePartition, f: capacity.FunctionOnSpace) -> bool:
     """Orbit averages hit the matching cell mean at every P-charged point."""
-    if part is None:
-        part = irreducible_partition(sys.P, sys.T)
-    return birkhoff.limit_is_cell_mean(sys.T, f, part.cells, part.limits, sys.P.support())
+    return birkhoff.limit_is_cell_mean(part.T, f, part.cells, part.limits, part.P.support())
 
 
 def noninvariant_independence(
-    sys: NoninvariantSystem,
-    B: SubsetMask,
-    C: SubsetMask,
-    part: IrreduciblePartition | None = None,
+    part: IrreduciblePartition, B: SubsetMask, C: SubsetMask
 ) -> IndependencePair:
     """Cesaro limit of P(B cap T^{-i}C) against sum_j Q_j(C) P(A_j cap B)."""
-    if part is None:
-        part = irreducible_partition(sys.P, sys.T)
-    limits = birkhoff.hit_limits(sys.T, part.cells, part.limits, (C,))
-    (out,) = birkhoff.measure_row(birkhoff.measure_side(sys.P, part.cells, limits), B, limits)
+    limits = birkhoff.hit_limits(part.T, part.cells, part.limits, (C,))
+    (out,) = birkhoff.measure_row(birkhoff.measure_side(part.P, part.cells, limits), B, limits)
     return out

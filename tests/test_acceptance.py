@@ -16,7 +16,6 @@ from ergocap import birkhoff, capacity, fec, generate, koopman, measure, noninva
 from ergocap.capacity import envelope, indicator
 from ergocap.fec import FECResult, NotFEC
 from ergocap.measure import Prob
-from ergocap.noninvariant import NoninvariantSystem
 from ergocap.space import Transformation
 
 F = Fraction
@@ -376,14 +375,13 @@ def test_criterion_6_noninvariant(capsys):
     sweep_sets = 0
     for P, T in instances:
         m = T.size
-        sys_ = NoninvariantSystem(P, T)
         part = noninvariant.irreducible_partition(P, T)
-        assert noninvariant.verify_construction(sys_, part).all_pass
+        assert noninvariant.verify_construction(part).all_pass
         for mask in range(1 << m):
-            assert noninvariant.noninvariant_lln(sys_, indicator(mask, m), part)
+            assert noninvariant.noninvariant_lln(part, indicator(mask, m))
         for B in range(1 << m):
             for C in range(1 << m):
-                assert noninvariant.noninvariant_independence(sys_, B, C, part).equal
+                assert noninvariant.noninvariant_independence(part, B, C).equal
                 pair_total += 1
         L = T.period
         for Pj, Vj in zip(part.conditionals, part.capacities):

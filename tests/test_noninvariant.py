@@ -11,7 +11,6 @@ from ergocap.capacity import indicator
 from ergocap.fec import FECResult, fec_decompose
 from ergocap.noninvariant import (
     IrreduciblePartition,
-    NoninvariantSystem,
     combined_capacity,
     invariant_value_set,
     irreducible_partition,
@@ -39,10 +38,17 @@ def random_invertible(seed: int, max_m: int = 6):
 
 
 def test_system_preconditions():
-    with pytest.raises(ValueError):
-        NoninvariantSystem(prob(1, 0), Transformation((0, 0)))
-    with pytest.raises(ValueError):
-        NoninvariantSystem(prob(1, 0, 0), Transformation((1, 0)))
+    with pytest.raises(ValueError, match="the map must be invertible"):
+        irreducible_partition(prob(1, 0), Transformation((0, 0)))
+    with pytest.raises(ValueError, match="measure and map live on different spaces"):
+        irreducible_partition(prob(1, 0, 0), Transformation((1, 0)))
+
+
+def test_partition_carries_its_measure_and_map(swap_pairs):
+    P = prob("1/8", "1/8", "3/8", "3/8")
+    part = irreducible_partition(P, swap_pairs)
+    assert part.P == P
+    assert part.T == swap_pairs
 
 
 def test_invariant_value_set_examples(swap_pairs):
@@ -181,7 +187,9 @@ def test_irreducible_partition_folds_null_components(swap_pairs):
 def test_partition_data_length_check(swap_pairs):
     part = irreducible_partition(prob("1/8", "1/8", "3/8", "3/8"), swap_pairs)
     with pytest.raises(ValueError):
-        IrreduciblePartition(part.cells, part.conditionals, part.limits[:1], part.capacities)
+        IrreduciblePartition(
+            part.P, part.T, part.cells, part.conditionals, part.limits[:1], part.capacities
+        )
 
 
 def test_combined_capacity_is_the_max(swap_pairs):
@@ -192,8 +200,8 @@ def test_combined_capacity_is_the_max(swap_pairs):
 
 
 def test_verify_construction_passes(swap_pairs):
-    sys = NoninvariantSystem(prob("1/8", "1/8", "3/8", "3/8"), swap_pairs)
-    report = verify_construction(sys)
+    part = irreducible_partition(prob("1/8", "1/8", "3/8", "3/8"), swap_pairs)
+    report = verify_construction(part)
     assert report.all_pass
     assert report.q_ergodic == (True, True)
     assert report.v_invariant == (True, True)
@@ -202,12 +210,12 @@ def test_verify_construction_passes(swap_pairs):
 
 
 def test_verify_construction_flags_corrupt_limits(swap_pairs):
-    sys = NoninvariantSystem(prob("1/8", "1/8", "3/8", "3/8"), swap_pairs)
-    part = irreducible_partition(sys.P, sys.T)
+    part = irreducible_partition(prob("1/8", "1/8", "3/8", "3/8"), swap_pairs)
+    swapped = (part.limits[1], part.limits[0])
     corrupt = IrreduciblePartition(
-        part.cells, part.conditionals, (part.limits[1], part.limits[0]), part.capacities
+        part.P, part.T, part.cells, part.conditionals, swapped, part.capacities
     )
-    report = verify_construction(sys, corrupt)
+    report = verify_construction(corrupt)
     assert report.q_ergodic == (False, False)
     assert not report.all_pass
 
@@ -216,23 +224,23 @@ def test_verify_construction_flags_corrupt_limits(swap_pairs):
 @settings(max_examples=30)
 def test_verify_construction_random_instances(seed):
     P, T = random_invertible(seed)
-    report = verify_construction(NoninvariantSystem(P, T))
-    assert report.all_pass
     part = irreducible_partition(P, T)
+    report = verify_construction(part)
+    assert report.all_pass
     got = fec_decompose(report.combined, T)
     assert isinstance(got, FECResult)
     assert got.n == part.n
 
 
 def test_lln_examples(swap_pairs):
-    sys = NoninvariantSystem(prob("1/8", "1/8", "3/8", "3/8"), swap_pairs)
+    part = irreducible_partition(prob("1/8", "1/8", "3/8", "3/8"), swap_pairs)
     f = capacity.FunctionOnSpace((F(1), F(0), F(0), F(0)))
-    assert noninvariant_lln(sys, f)
-    part = irreducible_partition(sys.P, sys.T)
+    assert noninvariant_lln(part, f)
+    swapped = (part.limits[1], part.limits[0])
     corrupt = IrreduciblePartition(
-        part.cells, part.conditionals, (part.limits[1], part.limits[0]), part.capacities
+        part.P, part.T, part.cells, part.conditionals, swapped, part.capacities
     )
-    assert not noninvariant_lln(sys, f, corrupt)
+    assert not noninvariant_lln(corrupt, f)
 
 
 @given(st.integers(0, 10**6))
@@ -241,14 +249,14 @@ def test_lln_random_instances(seed):
     P, T = random_invertible(seed)
     rng = Random(seed + 1)
     f = generate.random_function(rng, T.size)
-    assert noninvariant_lln(NoninvariantSystem(P, T), f)
+    assert noninvariant_lln(irreducible_partition(P, T), f)
 
 
 def test_independence_examples(swap_pairs):
-    sys = NoninvariantSystem(prob("1/8", "1/8", "3/8", "3/8"), swap_pairs)
-    got = noninvariant_independence(sys, 0b0110, 0b1111)
-    assert got.lhs == got.rhs == sys.P(0b0110)
-    got = noninvariant_independence(sys, 0b0001, 0b0001)
+    part = irreducible_partition(prob("1/8", "1/8", "3/8", "3/8"), swap_pairs)
+    got = noninvariant_independence(part, 0b0110, 0b1111)
+    assert got.lhs == got.rhs == part.P(0b0110)
+    got = noninvariant_independence(part, 0b0001, 0b0001)
     assert got.lhs == got.rhs == F(1, 16)
     assert got.equal
 
@@ -260,7 +268,7 @@ def test_independence_random_instances(seed):
     rng = Random(seed + 1)
     B = rng.randrange(1 << T.size)
     C = rng.randrange(1 << T.size)
-    assert noninvariant_independence(NoninvariantSystem(P, T), B, C).equal
+    assert noninvariant_independence(irreducible_partition(P, T), B, C).equal
 
 
 @given(st.integers(0, 10**6))
@@ -269,7 +277,6 @@ def test_independence_rows_match_the_per_pair_function(seed):
     from ergocap.birkhoff import cesaro_hit_limit, hit_limits, measure_row, measure_side
 
     P, T = random_invertible(seed, max_m=5)
-    sys = NoninvariantSystem(P, T)
     part = irreducible_partition(P, T)
     family = list(range(1 << T.size))
     limits = hit_limits(T, part.cells, part.limits, family)
@@ -277,7 +284,7 @@ def test_independence_rows_match_the_per_pair_function(seed):
     rng = Random(seed + 2)
     for B in rng.sample(family, min(len(family), 6)):
         for C, swept in zip(family, measure_row(side, B, limits)):
-            single = noninvariant_independence(sys, B, C, part)
+            single = noninvariant_independence(part, B, C)
             assert (swept.lhs, swept.rhs) == (single.lhs, single.rhs)
             assert swept.lhs == cesaro_hit_limit(P, T, B, C)
             assert swept.equal
