@@ -118,11 +118,15 @@ def component_capacity(V: UpperProb, cell: SubsetMask) -> UpperProb:
     (the face where p(cell) <= 1 is tight), so the maximizing vertices are
     the face's vertices, which `core_vertices(V, cell)` enumerates in the
     |cell & S| coordinates, and the envelope over them is exact.  The face
-    is nonempty exactly when V(cell) = 1.
+    is nonempty exactly when V(cell) = 1, so an empty enumeration there
+    is a fault of the enumeration.
     """
     if V.table[cell] != 1:
         raise EmptyRestrictedCore(f"no core member concentrates on mask {cell}")
-    return envelope(core_vertices(V, cell))
+    face = core_vertices(V, cell)
+    if not face:
+        raise InternalVerificationError(f"core face of mask {cell} is empty although V(cell) = 1")
+    return envelope(face)
 
 
 def ergodic_core_measures(V: UpperProb, T: Transformation) -> list[Prob]:

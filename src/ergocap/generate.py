@@ -40,11 +40,15 @@ def random_prob(rng: Random, m: int, wmax: int = 6) -> Prob:
 
 
 def random_invariant_prob(rng: Random, T: Transformation, wmax: int = 6) -> Prob:
-    """Random mixture of the cycle-uniform measures."""
-    uniforms = measure.ergodic_probabilities(T)
-    w = _weights(rng, len(uniforms), wmax)
+    """Random mixture of the cycle-uniform measures: weight w_c / s on cycle c,
+    spread evenly over its points."""
+    w = _weights(rng, len(T.cycles), wmax)
     s = sum(w)
-    return Prob(measure.mixture([Fraction(x, s) for x in w], uniforms))
+    mass = [Fraction(0)] * T.size
+    for x, (_, pts) in zip(w, T.cycles):
+        for p in pts:
+            mass[p] = Fraction(x, s * len(pts))
+    return Prob(tuple(mass))
 
 
 def random_upper_prob(

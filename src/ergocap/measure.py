@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import InternalVerificationError
 from . import space
@@ -145,15 +146,24 @@ def orbit_cycle(P: Prob, T: Transformation) -> list[Prob]:
     Pushforward permutes this family cyclically, so its mean is invariant
     and an envelope over it is exactly invariant.  Its length divides the
     map's period, and the preperiod of the orbit is at most the map's.
+    The orbit is walked on the integer numerators of the masses over
+    their common denominator, which pushforward keeps.
     """
-    orbit = [P]
-    index = {P.mass: 0}
+    if P.size != T.size:
+        raise ValueError("measure and map live on different spaces")
+    den = lcm(*(v.denominator for v in P.mass))
+    cur = tuple(v.numerator * (den // v.denominator) for v in P.mass)
+    orbit = [cur]
+    index = {cur: 0}
     while True:
-        nxt = pushforward(orbit[-1], T)
-        if nxt.mass in index:
-            return orbit[index[nxt.mass]:]
-        index[nxt.mass] = len(orbit)
-        orbit.append(nxt)
+        out = [0] * P.size
+        for w, v in enumerate(cur):
+            out[T.table[w]] += v
+        cur = tuple(out)
+        if cur in index:
+            return [Prob(tuple(Fraction(v, den) for v in nums)) for nums in orbit[index[cur]:]]
+        index[cur] = len(orbit)
+        orbit.append(cur)
 
 
 def cesaro_limit(P: Prob, T: Transformation) -> Prob:

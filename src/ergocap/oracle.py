@@ -2,15 +2,21 @@
 
 Everything here recomputes claims from definitions on raw data: maps are
 plain int tuples, measures are Fraction tuples, capacities are value
-tables indexed by subset mask.  No code is shared with the main modules
-beyond the bitmask convention, so agreement between the two paths is
-evidence rather than tautology.  Oracles are allowed to be exponential.
+tables indexed by subset mask.  Fractions appear only at the boundary:
+the simplex pivots an integer tableau over one common denominator
+(integer-preserving pivoting, as in Edmonds and Bareiss), and orbit
+averages sum integer numerators over the measure's common denominator.
+No code is shared with the main modules beyond the bitmask convention,
+and only the standard library is imported, so agreement between the two
+paths is evidence rather than tautology.  Oracles are allowed to be
+exponential.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -109,36 +115,58 @@ def oracle_core_vertices(vtable: Table) -> list[tuple[Fraction, ...]]:
     return sorted(found)
 
 
-def _pivot(rows: list[list[Fraction]], zrow: list[Fraction], basis: list[int], r: int, c: int) -> None:
-    inv = rows[r][c]
-    rows[r] = [x / inv for x in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-    if zrow[c] != 0:
-        f = zrow[c]
-        for j in range(len(zrow)):
-            zrow[j] -= f * rows[r][j]
+def _scaled(values) -> tuple[list[int], int]:
+    """Integer numerators of `values` over the lcm k of their denominators, and k."""
+    fracs = [Fraction(x) for x in values]
+    k = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (k // x.denominator) for x in fracs], k
+
+
+def _pivot(rows: list[list[int]], zrows: list[list[int]], basis: list[int], den: int, r: int, c: int) -> int:
+    """Integer-preserving pivot on rows[r][c]; returns the new common denominator.
+
+    Every entry stays the exact integer d times its tableau value: by
+    Sylvester's identity the division by the old d is exact, and the
+    pivot becomes the new d, negated with the whole tableau when negative.
+    """
+    prow = rows[r]
+    p = prow[c]
+    for row in [*(rows[i] for i in range(len(rows)) if i != r), *zrows]:
+        f = row[c]
+        if f:
+            row[:] = [(p * x - f * y) // den for x, y in zip(row, prow)]
+        elif p != den:
+            row[:] = [p * x // den for x in row]
     basis[r] = c
+    if p < 0:
+        for row in [*rows, *zrows]:
+            row[:] = [-x for x in row]
+        return -p
+    return p
 
 
-def _bland(rows: list[list[Fraction]], zrow: list[Fraction], basis: list[int], ncols: int) -> str:
-    """Maximize with Bland's anti-cycling rule until optimal or unbounded."""
+def _bland(rows: list[list[int]], zrows: list[list[int]], basis: list[int], ncols: int, den: int) -> tuple[str, int]:
+    """Maximize zrows[0] with Bland's anti-cycling rule until optimal or
+    unbounded, carrying the other rows of `zrows` through every pivot."""
+    zrow = zrows[0]
     while True:
         enter = next((j for j in range(ncols) if zrow[j] > 0), None)
         if enter is None:
-            return "optimal"
+            return "optimal", den
         best = None
-        for r in range(len(rows)):
-            coeff = rows[r][enter]
+        for r, row in enumerate(rows):
+            coeff = row[enter]
             if coeff > 0:
-                ratio = rows[r][-1] / coeff
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < best[1]):
-                    best = (ratio, basis[r], r)
+                # ratio rhs/coeff against the best's, cross-multiplied (both coeffs > 0)
+                if best is None:
+                    best = r
+                    continue
+                lhs, rhs = row[-1] * rows[best][enter], rows[best][-1] * coeff
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best]):
+                    best = r
         if best is None:
-            return "unbounded"
-        _pivot(rows, zrow, basis, best[2], enter)
+            return "unbounded", den
+        den = _pivot(rows, zrows, basis, den, best, enter)
 
 
 def oracle_lp_max(
@@ -146,61 +174,71 @@ def oracle_lp_max(
     ub_rows: list[tuple[list[Fraction], Fraction]],
     eq_rows: list[tuple[list[Fraction], Fraction]],
 ) -> tuple[str, Fraction | None, tuple[Fraction, ...] | None]:
-    """Two-phase exact simplex: maximize c.x, A x <= b, E x = d, x >= 0."""
+    """Two-phase exact simplex: maximize c.x, A x <= b, E x = d, x >= 0.
+
+    Each row is scaled by the lcm k of its denominators, which rescales
+    only its own slack or artificial, so Bland's rule takes the same
+    pivots as on the rational tableau.  Phase 1 maximizes minus the sum
+    of the unscaled artificials (weight L/k, L the lcm of their k), and
+    the objective row rides along from the start.
+    """
     nreal = len(objective)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     kinds: list[str] = []
+    scales: list[int] = []
     for coeffs, rhs in ub_rows:
-        if rhs >= 0:
-            rows.append([Fraction(x) for x in coeffs] + [rhs])
+        nums, k = _scaled([*coeffs, rhs])
+        if nums[-1] >= 0:
             kinds.append("slack")
         else:
-            rows.append([-Fraction(x) for x in coeffs] + [-rhs])
+            nums = [-x for x in nums]
             kinds.append("surplus")
+        rows.append(nums)
+        scales.append(k)
     for coeffs, rhs in eq_rows:
-        if rhs >= 0:
-            rows.append([Fraction(x) for x in coeffs] + [rhs])
-        else:
-            rows.append([-Fraction(x) for x in coeffs] + [-rhs])
+        nums, k = _scaled([*coeffs, rhs])
+        if nums[-1] < 0:
+            nums = [-x for x in nums]
+        rows.append(nums)
         kinds.append("artificial")
+        scales.append(k)
 
     nslack = sum(1 for k in kinds if k != "artificial")
     nart = sum(1 for k in kinds if k != "slack")
     ncols = nreal + nslack + nart
+    art_lcm = lcm(*(k for k, kind in zip(scales, kinds) if kind != "slack"))
+    zrow = [0] * (ncols + 1)  # phase 1: minus the sum of the unscaled artificials
     basis = [0] * len(rows)
     slack_at = nreal
     art_at = nreal + nslack
     for i, kind in enumerate(kinds):
         rhs = rows[i].pop()
-        rows[i] += [ZERO] * (nslack + nart)
+        rows[i] += [0] * (nslack + nart)
         if kind == "slack":
-            rows[i][slack_at] = ONE
+            rows[i][slack_at] = 1
             basis[i] = slack_at
             slack_at += 1
-        elif kind == "surplus":
-            rows[i][slack_at] = -ONE
-            slack_at += 1
-            rows[i][art_at] = ONE
-            basis[i] = art_at
-            art_at += 1
         else:
-            rows[i][art_at] = ONE
+            if kind == "surplus":
+                rows[i][slack_at] = -1
+                slack_at += 1
+            rows[i][art_at] = 1
             basis[i] = art_at
+            zrow[art_at] = -(art_lcm // scales[i])
             art_at += 1
         rows[i].append(rhs)
 
+    den = 1
+    nums, zscale = _scaled(objective)
+    zobj = nums + [0] * (ncols - nreal + 1)
     # phase 1: drive the artificial variables to zero
     if nart:
-        zrow = [ZERO] * (ncols + 1)
-        for j in range(nreal + nslack, ncols):
-            zrow[j] = -ONE
         for r, b in enumerate(basis):
-            if zrow[b] != 0:
-                f = zrow[b]
-                for j in range(ncols + 1):
-                    zrow[j] -= f * rows[r][j]
-        _bland(rows, zrow, basis, ncols)
-        if -zrow[-1] != 0:
+            f = zrow[b]
+            if f:
+                zrow = [z - f * x for z, x in zip(zrow, rows[r])]
+        _, den = _bland(rows, [zrow, zobj], basis, ncols, den)
+        if zrow[-1] != 0:
             return "infeasible", None, None
         for r in range(len(rows) - 1, -1, -1):
             if basis[r] >= nreal + nslack:
@@ -209,30 +247,25 @@ def oracle_lp_max(
                     rows.pop(r)
                     basis.pop(r)
                 else:
-                    _pivot(rows, [ZERO] * (ncols + 1), basis, r, c)
+                    den = _pivot(rows, [zobj], basis, den, r, c)
         rows = [row[: nreal + nslack] + [row[-1]] for row in rows]
+        zobj = zobj[: nreal + nslack] + [zobj[-1]]
         ncols = nreal + nslack
 
-    zrow = [Fraction(c) for c in objective] + [ZERO] * (ncols - nreal + 1)
-    for r, b in enumerate(basis):
-        if zrow[b] != 0:
-            f = zrow[b]
-            for j in range(ncols + 1):
-                zrow[j] -= f * rows[r][j]
-    status = _bland(rows, zrow, basis, ncols)
+    status, den = _bland(rows, [zobj], basis, ncols, den)
     if status != "optimal":
         return status, None, None
     x = [ZERO] * nreal
     for r, b in enumerate(basis):
         if b < nreal:
-            x[b] = rows[r][-1]
-    return "optimal", -zrow[-1], tuple(x)
+            x[b] = Fraction(rows[r][-1], den)
+    return "optimal", Fraction(-zobj[-1], den * zscale), tuple(x)
 
 
 def oracle_core_sup(
     vtable: Table,
     objective: list[Fraction],
-    equalities: list[tuple[list[Fraction], Fraction]] = [],
+    equalities: tuple[tuple[list[Fraction], Fraction], ...] = (),
 ) -> Fraction | None:
     """sup of a linear functional over the core, by simplex; None if the
     core slice cut out by the extra equalities is empty."""
@@ -309,7 +342,7 @@ def oracle_fec(vtable: Table, ttable: MapTable) -> tuple[tuple[tuple[int, ...], 
 
     def passes(cell: int) -> bool:
         if cell not in cell_ok:
-            on_cell = [([ONE if cell >> w & 1 else ZERO for w in range(m)], ONE)]
+            on_cell = (([ONE if cell >> w & 1 else ZERO for w in range(m)], ONE),)
 
             def sup(a: int) -> Fraction | None:
                 objective = [ONE if a >> w & 1 else ZERO for w in range(m)]
@@ -347,14 +380,15 @@ def oracle_tail_average(
     """Mean of P(T^{-i}A) over i in [burn, burn + length)."""
     if length < 1:
         raise ValueError("window needs at least one term")
+    nums, den = _scaled(ptable)
     cur = mask
     for _ in range(burn):
         cur = _preimage(ttable, cur)
-    total = ZERO
+    total = 0
     for _ in range(length):
-        total += sum((ptable[w] for w in range(len(ttable)) if cur >> w & 1), ZERO)
+        total += sum(nums[w] for w in range(len(ttable)) if cur >> w & 1)
         cur = _preimage(ttable, cur)
-    return total / length
+    return Fraction(total, den * length)
 
 
 def oracle_window_sup(
@@ -365,25 +399,26 @@ def oracle_window_sup(
     m = len(ttable)
     if sorted(ttable) != list(range(m)):
         raise ValueError("two-sided windows need an invertible map")
+    nums, den = _scaled(ptable)
     inverse = [0] * m
     for w, img in enumerate(ttable):
         inverse[img] = w
-    vals: dict[int, Fraction] = {}
+    vals: dict[int, int] = {}
     cur = mask
     for i in range(0, max_shift + max_len + 1):
-        vals[i] = sum((ptable[w] for w in range(m) if cur >> w & 1), ZERO)
+        vals[i] = sum(nums[w] for w in range(m) if cur >> w & 1)
         cur = _preimage(ttable, cur)
     cur = mask
     for i in range(0, -max_shift - 1, -1):
-        vals[i] = sum((ptable[w] for w in range(m) if cur >> w & 1), ZERO)
+        vals[i] = sum(nums[w] for w in range(m) if cur >> w & 1)
         cur = _preimage(tuple(inverse), cur)
-    best = None
+    best_num, best_len = 0, 0
     for start in range(-max_shift, max_shift + 1):
-        running = ZERO
+        running = 0
         for length in range(1, max_len + 1):
             running += vals[start + length - 1]
-            mean = running / length
-            if best is None or mean > best:
-                best = mean
-    assert best is not None
-    return best
+            # running / length > best_num / best_len, cross-multiplied
+            if best_len == 0 or running * best_len > best_num * length:
+                best_num, best_len = running, length
+    assert best_len
+    return Fraction(best_num, best_len * den)

@@ -577,6 +577,28 @@ def test_polytope_self_check_exits_3_with_a_report(tmp_path):
     }
 
 
+def test_empty_core_face_exits_3_with_a_report(tmp_path):
+    # the broken gcd empties the face of the straddling cell {0, 1}; V(cell) = 1
+    # proves that face nonempty, so this is a fault, not a precondition failure
+    script = (
+        "import math, sys\n"
+        "from ergocap import cli, polytope\n"
+        "polytope.gcd = lambda *xs: -math.gcd(*xs)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    path = write(tmp_path, "sys.json", STRADDLE_SYSTEM)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "analyze", path, "--json-only"], capture_output=True, text=True
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {
+        "command": "analyze",
+        "status": "internal-error",
+        "reason": "core face of mask 3 is empty although V(cell) = 1",
+    }
+
+
 def test_oracle_self_check_exits_3_with_a_report(monkeypatch, capsys):
     # the oracle imports nothing of the library, so it fails with a plain RuntimeError
     from ergocap import cli, oracle

@@ -167,16 +167,9 @@ def test_cesaro_limit_is_invariant_and_keeps_fixed_set_masses(pair):
 
 
 def test_cesaro_limit_checks_fixed_set_masses(monkeypatch, swap_pairs):
-    # a first pushforward that leaks the mass of {2, 3} into {0, 1} still
-    # gives an invariant tail average, which only the fixed-set check catches
-    real = measure.pushforward
-    calls = []
-
-    def leaky(P, T):
-        calls.append(P)
-        return prob("1/2", "1/2", 0, 0) if len(calls) == 1 else real(P, T)
-
-    monkeypatch.setattr(measure, "pushforward", leaky)
+    # an orbit cycle that leaks the mass of {2, 3} into {0, 1} still gives
+    # an invariant tail average, which only the fixed-set check catches
+    monkeypatch.setattr(measure, "orbit_cycle", lambda P, T: [prob("1/2", "1/2", 0, 0)])
     with pytest.raises(InternalVerificationError, match="moved mass"):
         cesaro_limit(prob("1/4", "1/4", "1/4", "1/4"), swap_pairs)
 

@@ -1,7 +1,9 @@
 """The independent checkers: brute-force sets, sorted-sum Choquet,
 exact simplex, basis-enumeration vertices, literal orbit averages."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -67,6 +69,76 @@ def test_lp_equality():
     assert status == "optimal"
     assert value == 1
     assert x == (1, 0)
+
+
+# (objective, <= rows, = rows) -> (status, value, x); fractional data of
+# every shape the integer tableau scales: unequal row denominators,
+# surplus rows, a redundant equality whose artificial row is dropped
+# after phase 1, and a fractional objective carried through phase 1
+LP_CASES = {
+    "fractional_objective": (
+        ([F(1, 2), F(1, 3), F(1, 5)],
+         [([ONE, F(0), F(0)], F(1, 4)), ([F(0), F(2, 3), F(1, 7)], F(1, 2))],
+         [([ONE, ONE, ONE], ONE)]),
+        ("optimal", F(3, 8), (F(1, 4), F(3, 4), F(0))),
+    ),
+    "mixed_denominators": (
+        ([ONE, ONE],
+         [([F(1, 2), F(1, 3)], F(1, 5)), ([F(3, 4), F(1, 6)], F(2, 7)), ([F(1, 9), F(5, 8)], F(3, 10))],
+         []),
+        ("optimal", F(66, 119), (F(54, 595), F(276, 595))),
+    ),
+    "negative_rhs": (
+        ([-ONE, F(-2)], [([-ONE, -ONE], F(-1, 2)), ([F(-1, 3), ONE], F(-1, 6)), ([ONE, ONE], F(3))], []),
+        ("optimal", F(-1, 2), (F(1, 2), F(0))),
+    ),
+    "duplicated_equality": (
+        ([F(1, 2), F(-1, 3), F(1, 4)], [([ONE, F(0), F(0)], F(2, 5))], [([ONE, ONE, ONE], ONE)] * 2),
+        ("optimal", F(7, 20), (F(2, 5), F(0), F(3, 5))),
+    ),
+    "infeasible": (
+        ([F(1, 2), F(1, 3)], [([ONE, ONE], F(1, 3))], [([ONE, ONE], F(1, 2))]),
+        ("infeasible", None, None),
+    ),
+    "unbounded": (
+        ([F(1, 2), F(-1, 3)], [([F(2, 3), F(-3, 4)], F(1, 5))], []),
+        ("unbounded", None, None),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LP_CASES))
+def test_lp_pinned_fractional_cases(name):
+    (objective, ub, eq), expected = LP_CASES[name]
+    got = oracle_lp_max(objective, ub, eq)
+    assert got == expected
+    if got[2] is not None:
+        assert all(type(x) is Fraction for x in got[2]) and type(got[1]) is Fraction
+
+
+def test_window_sup_and_tail_average_mixed_denominators():
+    # i -> P(T^{-i}{0, 1}) cycles through 7/12, 7/20, 5/12, 13/20
+    p = (F(1, 3), F(1, 4), F(2, 5), F(1, 60))
+    cycle = (1, 2, 3, 0)
+    assert oracle_window_sup(p, cycle, 0b0011, 3, 5) == F(13, 20)
+    assert oracle_window_sup(p, cycle, 0b0011, 0, 1) == F(7, 12)
+    assert oracle_window_sup(p, cycle, 0b1111, 3, 5) == 1
+    assert oracle_tail_average(p, cycle, 0b0011, 1, 3) == F(17, 36)
+    assert oracle_tail_average(p, cycle, 0b0011, 0, 4) == F(1, 2)
+
+
+def test_oracle_imports_only_the_standard_library():
+    # agreement with the main path is evidence only while no code is shared
+    path = Path(__file__).resolve().parents[1] / "src" / "ergocap" / "oracle.py"
+    allowed = {"__future__", "fractions", "itertools", "math"}
+    imports = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0
+            assert node.module in allowed
+        else:
+            assert all(alias.name in allowed for alias in node.names)
 
 
 def test_core_vertices_examples(two_blocks, q1, q2):
