@@ -5,12 +5,14 @@ Input is a single JSON document with rationals written as "p/q" strings,
 parse time so exactness is a wire-level contract.  Every report is a
 machine block (canonical JSON, keys sorted, rationals as lowest-terms
 "p/q") optionally followed by a human-readable block.  Exit codes:
-0 success, 1 input error (including an --nmax that is negative or above
-MAX_NMAX), 2 reported precondition failure (including a system that
-turns out not to have finite ergodic components), 3 internal error: one
-of the library's own exactness checks, or of the oracle's, failed (a
-bug, reported as status "internal-error" with the failed check as its
-reason, never as a traceback).
+1 input error (including an --nmax that is negative or above MAX_NMAX),
+with a message on stderr and no report; otherwise the code follows from
+the printed report's status, in `main` alone: 0 for "ok", 3 for
+"internal-error" (one of the library's own exactness checks, or of the
+oracle's, failed: a bug, reported with the failed check as its reason,
+never as a traceback), and 2 for every reported failure: "not-fec" (a
+system without finite ergodic components), "precondition-failure" and
+"mismatch" (oracle-verify found a disagreement).
 """
 
 from __future__ import annotations
@@ -111,7 +113,6 @@ def _mass_vector(value, path: str, m: int) -> Prob:
 
 @dataclass(frozen=True)
 class SystemDescription:
-    size: int
     T: Transformation
     generators: tuple[Prob, ...] | None
     probability: Prob | None
@@ -153,7 +154,7 @@ def load_system(path: str) -> SystemDescription:
     probability = None
     if "probability" in doc:
         probability = _mass_vector(doc["probability"], "probability", m)
-    return SystemDescription(m, T, generators, probability)
+    return SystemDescription(T, generators, probability)
 
 
 def _load_field(path: str, key: str):
@@ -207,6 +208,10 @@ def _yes(flag: bool) -> str:
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command gets the report skeleton from `main` (its command, status
+# "ok" and reason None), fills it in, and returns its human rows; `main`
+# turns the report's status into the exit code.
 
 def _require_generators(desc: SystemDescription) -> UpperProb:
     if desc.generators is None:
@@ -214,37 +219,32 @@ def _require_generators(desc: SystemDescription) -> UpperProb:
     return capacity.envelope(list(desc.generators))
 
 
-def _fec_report(result: FECResult | NotFEC) -> dict:
-    if isinstance(result, NotFEC):
-        return {
-            "is_fec": False,
-            "witness": {"points": _pts(result.witness), "value": _frac(result.value)},
-        }
-    return {
-        "is_fec": True,
-        "n": result.n,
-        "cells": [_pts(cell) for cell in result.partition],
-        "measures": [_vec(Q.mass) for Q in result.measures],
-    }
+Rows = list[tuple[str, str]]
 
 
-def _invariant(report: dict, V: UpperProb, T: Transformation) -> bool:
-    """Whether V is invariant under T; if not, the report says so as a precondition failure."""
-    if capacity.is_invariant_capacity(V, T):
-        return True
-    report["status"] = "precondition-failure"
-    report["reason"] = "capacity is not invariant under the map"
-    return False
+class _NotInvariant(Exception):
+    """The capacity is not invariant under the map: the command stops with these human rows."""
+
+    def __init__(self, rows: Rows) -> None:
+        super().__init__()
+        self.rows = rows
 
 
-def _decomposition(report: dict, V: UpperProb, T: Transformation) -> FECResult | NotFEC | None:
-    """fec_decompose(V, T) after the invariance check, or None when V is not invariant.
+def _decomposition(
+    report: dict, V: UpperProb, T: Transformation, head: tuple = (), decompose: bool = True
+) -> FECResult | NotFEC | None:
+    """fec_decompose(V, T) once V is known to be invariant under T (None when not `decompose`).
 
-    Either failure is recorded in the report's status and reason.  The
-    result is NotFEC exactly when the zero-one condition fails, so the
-    reports read that condition off it.
+    A capacity that is not invariant stops the command as a precondition
+    failure, with the human rows `head` and then `invariant  no`.  A
+    NotFEC result, which comes exactly when the zero-one condition
+    fails, sets the status "not-fec" and leaves the rows to the command.
     """
-    if not _invariant(report, V, T):
+    if not capacity.is_invariant_capacity(V, T):
+        report["status"] = "precondition-failure"
+        report["reason"] = "capacity is not invariant under the map"
+        raise _NotInvariant([*head, ("invariant", "no")])
+    if not decompose:
         return None
     result = fec.fec_decompose(V, T)
     if isinstance(result, NotFEC):
@@ -253,23 +253,30 @@ def _decomposition(report: dict, V: UpperProb, T: Transformation) -> FECResult |
     return result
 
 
-def _cmd_analyze(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
+def _fec_block(report: dict, result: FECResult | NotFEC) -> Rows:
+    """Write the `zero_one` and `fec` keys; return the not-FEC witness rows, or none under FEC."""
+    report["zero_one"] = isinstance(result, FECResult)
+    if isinstance(result, NotFEC):
+        points, value = _pts(result.witness), _frac(result.value)
+        report["fec"] = {"is_fec": False, "witness": {"points": points, "value": value}}
+        return [("FEC", "no"), ("witness", f"{set(points)} value {value}")]
+    report["fec"] = {
+        "is_fec": True,
+        "n": result.n,
+        "cells": [_pts(cell) for cell in result.partition],
+        "measures": [_vec(Q.mass) for Q in result.measures],
+    }
+    return []
+
+
+def _cmd_analyze(report: dict, desc: SystemDescription, args) -> Rows:
     V = _require_generators(desc)
     T = desc.T
-    report: dict = {
-        "command": "analyze",
-        "omega_size": desc.size,
-        "map": list(T.table),
-        "status": "ok",
-        "reason": None,
-    }
+    report.update(omega_size=T.size, map=list(T.table), invariant=False)
     result = _decomposition(report, V, T)
-    report["invariant"] = result is not None
-    if result is None:
-        return 2, report, _table([("invariant", "no")])
-    report["zero_one"] = not isinstance(result, NotFEC)
+    report["invariant"] = True
+    not_fec = _fec_block(report, result)
     report["fz_ergodic"] = fec.is_fz_ergodic(V, T)
-    report["fec"] = _fec_report(result)
     report["support"] = _pts(capacity.null_support(V))
     report["koopman_multiplicity"] = koopman.eigenvalue_one_multiplicity(V, T)
     report["ergodic_core_measures"] = [
@@ -279,57 +286,39 @@ def _cmd_analyze(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
         _vec(P.mass) for P in capacity.invariant_core_vertices(V, T)
     ]
     rows = [
-        ("space size", str(desc.size)),
+        ("space size", str(T.size)),
         ("map", str(list(T.table))),
         ("invariant", "yes"),
         ("zero-one", _yes(report["zero_one"])),
         ("FZ-ergodic", _yes(report["fz_ergodic"])),
         ("koopman multiplicity", str(report["koopman_multiplicity"])),
     ]
-    if isinstance(result, NotFEC):
-        rows.append(("FEC", "no"))
-        rows.append(
-            ("witness", f"{set(_pts(result.witness))} value {_frac(result.value)}")
-        )
-        return 2, report, _table(rows)
+    if not_fec:
+        return rows + not_fec
     rows.append(("FEC cells", str(result.n)))
     for i, (cell, Q) in enumerate(zip(result.partition, result.measures)):
         rows.append((f"cell {i + 1}", f"{set(_pts(cell))}  Q = {_vec(Q.mass)}"))
-    return 0, report, _table(rows)
+    return rows
 
 
-def _cmd_check_fec(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
-    V = _require_generators(desc)
-    T = desc.T
-    report: dict = {"command": "check-fec", "status": "ok", "reason": None}
-    result = _decomposition(report, V, T)
-    if result is None:
-        return 2, report, _table([("invariant", "no")])
-    report["zero_one"] = not isinstance(result, NotFEC)
-    report["fec"] = _fec_report(result)
-    if isinstance(result, NotFEC):
-        human = _table(
-            [
-                ("FEC", "no"),
-                ("witness", f"{set(_pts(result.witness))} value {_frac(result.value)}"),
-            ]
-        )
-        return 2, report, human
-    human = _table([("FEC", "yes"), ("cells", str([set(_pts(c)) for c in result.partition]))])
-    return 0, report, human
+def _cmd_check_fec(report: dict, desc: SystemDescription, args) -> Rows:
+    result = _decomposition(report, _require_generators(desc), desc.T)
+    return _fec_block(report, result) or [
+        ("FEC", "yes"),
+        ("cells", str([set(_pts(c)) for c in result.partition])),
+    ]
 
 
-def _cmd_decompose(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
+def _cmd_decompose(report: dict, desc: SystemDescription, args) -> Rows:
     V = _require_generators(desc)
     T = desc.T
     if args.probability:
         doc = _load_field(args.probability, "probability")
-        P = _mass_vector(doc, args.probability, desc.size)
+        P = _mass_vector(doc, args.probability, T.size)
     elif desc.probability is not None:
         P = desc.probability
     else:
         raise InputError("probability", "decompose needs a probability (field or --probability)")
-    report: dict = {"command": "decompose", "status": "ok", "reason": None}
     if space.is_invertible(T):
         result = fec.full_decomposition(V, T, P)
         report["mode"] = "full"
@@ -350,15 +339,13 @@ def _cmd_decompose(desc: SystemDescription, args) -> tuple[int, dict, list[str]]
     rows.append(("residual", "none" if result.residual is None else str(report["residual"])))
     if result.residual is not None:
         rows.append(("residual in core", _yes(bool(result.residual_in_core))))
-    return 0, report, _table(rows)
+    return rows
 
 
-def _cmd_koopman(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
+def _cmd_koopman(report: dict, desc: SystemDescription, args) -> Rows:
     V = _require_generators(desc)
     T = desc.T
-    report: dict = {"command": "koopman", "status": "ok", "reason": None}
-    if not _invariant(report, V, T):
-        return 2, report, _table([("invariant", "no")])
+    _decomposition(report, V, T, decompose=False)
     matrix = koopman.koopman_matrix(T)
     basis = koopman.invariant_function_basis(V, T)
     report["matrix"] = [[_frac(x) for x in row] for row in matrix]
@@ -370,7 +357,7 @@ def _cmd_koopman(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
     ]
     for i, f in enumerate(basis):
         rows.append((f"basis {i + 1}", str(_vec(f.values))))
-    return 0, report, _table(rows)
+    return rows
 
 
 def _running_averages(T: Transformation, f: FunctionOnSpace, w: int, nmax: int) -> list[Fraction]:
@@ -385,13 +372,12 @@ def _running_averages(T: Transformation, f: FunctionOnSpace, w: int, nmax: int) 
     return out
 
 
-def _cmd_birkhoff(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
+def _cmd_birkhoff(report: dict, desc: SystemDescription, args) -> Rows:
     V = _require_generators(desc)
     T = desc.T
     if not args.function:
         raise InputError("function", "birkhoff needs --function")
-    f = FunctionOnSpace(tuple(_load_vector(args.function, "function", desc.size)))
-    report: dict = {"command": "birkhoff", "status": "ok", "reason": None}
+    f = FunctionOnSpace(tuple(_load_vector(args.function, "function", T.size)))
     limit = birkhoff.birkhoff_limit(T, f)
     report["limit"] = _vec(limit.values)
     report["exact_window"] = {
@@ -399,27 +385,25 @@ def _cmd_birkhoff(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
         "length": T.period,
         "agrees": all(
             birkhoff.finite_average(T, f, w, T.period, T.preperiod) == limit.values[w]
-            for w in range(desc.size)
+            for w in range(T.size)
         ),
     }
     if args.nmax > 0:
-        report["trace"] = [_vec(_running_averages(T, f, w, args.nmax)) for w in range(desc.size)]
-    result = _decomposition(report, V, T)
-    if result is None:
-        report["lln"] = None
-        return 2, report, _table([("limit", str(report["limit"])), ("invariant", "no")])
-    rows = [("limit", str(report["limit"]))]
+        report["trace"] = [_vec(_running_averages(T, f, w, args.nmax)) for w in range(T.size)]
+    report["lln"] = None
+    limit_row = ("limit", str(report["limit"]))
+    result = _decomposition(report, V, T, (limit_row,))
     if isinstance(result, NotFEC):
-        report["lln"] = None
-        rows.append(("FEC", "no"))
-        return 2, report, _table(rows)
+        return [limit_row, ("FEC", "no")]
     report["lln"] = birkhoff.verify_multivalue_lln(V, T, result, f)
     report["component_means"] = [
         _frac(measure.expectation(Q, f.values)) for Q in result.measures
     ]
-    rows.append(("LLN", _yes(report["lln"])))
-    rows.append(("component means", str(report["component_means"])))
-    return 0, report, _table(rows)
+    return [
+        limit_row,
+        ("LLN", _yes(report["lln"])),
+        ("component means", str(report["component_means"])),
+    ]
 
 
 def _pair_family(m: int, cells: tuple[int, ...]) -> list[int]:
@@ -455,16 +439,13 @@ def _sweep(family: list[int], row, violations: list[dict], **tag) -> tuple[int, 
     return checked, order_sensitive
 
 
-def _cmd_independence(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
+def _cmd_independence(report: dict, desc: SystemDescription, args) -> Rows:
     V = _require_generators(desc)
     T = desc.T
-    report: dict = {"command": "independence", "status": "ok", "reason": None}
     result = _decomposition(report, V, T)
-    if result is None:
-        return 2, report, _table([("invariant", "no")])
     if isinstance(result, NotFEC):
-        return 2, report, _table([("FEC", "no")])
-    family = _pair_family(desc.size, result.partition.cells)
+        return [("FEC", "no")]
+    family = _pair_family(T.size, result.partition.cells)
     limits = birkhoff.hit_limits(T, result.partition, result.measures, family)
     violations: list[dict] = []
     checked, order_sensitive = _sweep(family, lambda b: birkhoff.choquet_row(V, b, limits), violations)
@@ -501,7 +482,7 @@ def _cmd_independence(desc: SystemDescription, args) -> tuple[int, dict, list[st
         "rhs": _frac(featured.rhs),
         "trace": _vec(featured.trace),
     }
-    rows = [
+    return [
         ("pairs checked", str(checked)),
         ("choquet identity", _yes(not violations)),
         ("core identity", _yes(not core_violations)),
@@ -509,20 +490,16 @@ def _cmd_independence(desc: SystemDescription, args) -> tuple[int, dict, list[st
         ("featured pair", f"B={set(_pts(featured_b)) or '{}'} C={set(_pts(featured_c)) or '{}'}"),
         ("featured lhs = rhs", f"{_frac(featured.lhs)} = {_frac(featured.rhs)}"),
     ]
-    return 0, report, _table(rows)
 
 
-def _cmd_noninvariant(desc: SystemDescription, args) -> tuple[int, dict, list[str]]:
+def _cmd_noninvariant(report: dict, desc: SystemDescription, args) -> Rows:
     T = desc.T
     if desc.probability is None:
         raise InputError("probability", "noninvariant needs the probability field")
     part = noninvariant.irreducible_partition(desc.probability, T)
     values = sorted(noninvariant.invariant_value_set(part.P, T))
     check = noninvariant.verify_construction(part)
-    report: dict = {
-        "command": "noninvariant",
-        "status": "ok",
-        "reason": None,
+    report.update({
         "invariant_value_set": _vec(values),
         "value_set_size": len(values),
         "cells": [_pts(c) for c in part.cells],
@@ -532,13 +509,14 @@ def _cmd_noninvariant(desc: SystemDescription, args) -> tuple[int, dict, list[st
             "q_ergodic": list(check.q_ergodic),
             "v_invariant": list(check.v_invariant),
             "v_fz_ergodic": list(check.v_fz),
+            # FEC and the zero-one condition are one fact (the paper's theorem)
             "combined_fec": check.fec_ok,
-            "combined_zero_one": check.zero_one,
+            "combined_zero_one": check.fec_ok,
         },
-    }
-    if desc.size <= 8:
+    })
+    if T.size <= 8:
         report["v_tables"] = [_vec(V.table) for V in part.capacities]
-    family = _pair_family(desc.size, part.cells.cells)
+    family = _pair_family(T.size, part.cells.cells)
     limits = birkhoff.hit_limits(T, part.cells, part.limits, family)
     side = birkhoff.measure_side(part.P, part.cells, limits)
     violations: list[dict] = []
@@ -549,7 +527,7 @@ def _cmd_noninvariant(desc: SystemDescription, args) -> tuple[int, dict, list[st
         "violations": violations,
     }
     if args.function:
-        f = FunctionOnSpace(tuple(_load_vector(args.function, "function", desc.size)))
+        f = FunctionOnSpace(tuple(_load_vector(args.function, "function", T.size)))
         report["lln"] = noninvariant.noninvariant_lln(part, f)
     else:
         report["lln"] = None
@@ -561,10 +539,10 @@ def _cmd_noninvariant(desc: SystemDescription, args) -> tuple[int, dict, list[st
     ]
     for i, Q in enumerate(part.limits):
         rows.append((f"Q_{i + 1}", str(_vec(Q.mass))))
-    return 0, report, _table(rows)
+    return rows
 
 
-def _cmd_oracle_verify(args) -> tuple[int, dict, list[str]]:
+def _cmd_oracle_verify(report: dict, args) -> Rows:
     seed = args.seed
     instances = args.nmax if args.nmax > 0 else 50
     rng = Random(seed)
@@ -634,21 +612,17 @@ def _cmd_oracle_verify(args) -> tuple[int, dict, list[str]]:
         bump("window_sup", ok, f"instance {k}")
 
     all_pass = not mismatches
-    report = {
-        "command": "oracle-verify",
-        "status": "ok" if all_pass else "mismatch",
-        "reason": None if all_pass else "main path disagrees with an oracle",
-        "seed": seed,
-        "instances": instances,
-        "checks": counts,
-        "all_pass": all_pass,
-        "mismatches": mismatches,
-    }
+    if not all_pass:
+        report["status"] = "mismatch"
+        report["reason"] = "main path disagrees with an oracle"
+    report.update(
+        seed=seed, instances=instances, checks=counts, all_pass=all_pass, mismatches=mismatches
+    )
     rows = [("instances", str(instances)), ("seed", str(seed))]
     for name in sorted(counts):
         rows.append((name, str(counts[name])))
     rows.append(("all pass", _yes(all_pass)))
-    return (0 if all_pass else 2), report, _table(rows)
+    return rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -679,6 +653,7 @@ def main(argv: list[str] | None = None) -> int:
         "independence": _cmd_independence,
         "noninvariant": _cmd_noninvariant,
     }
+    report: dict = {"command": args.command, "status": "ok", "reason": None}
     try:
         if args.nmax < 0:
             raise InputError("--nmax", f"must not be negative, got {args.nmax}")
@@ -686,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError("--nmax", f"must be at most {MAX_NMAX}, got {args.nmax}")
         if args.command == "oracle-verify":
             try:
-                code, report, human = _cmd_oracle_verify(args)
+                rows = _cmd_oracle_verify(report, args)
             except InternalVerificationError:
                 raise
             except RuntimeError as exc:  # oracle.py imports only the standard library
@@ -694,25 +669,21 @@ def main(argv: list[str] | None = None) -> int:
         else:
             if not args.file:
                 raise InputError("file", f"{args.command} needs a system file")
-            desc = load_system(args.file)
-            code, report, human = handlers[args.command](desc, args)
+            rows = handlers[args.command](report, load_system(args.file), args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except _NotInvariant as stop:
+        rows = stop.rows
     except InternalVerificationError as exc:
         report = {"command": args.command, "status": "internal-error", "reason": str(exc)}
-        _emit(report, _table([("internal error", str(exc))]), args.json_only)
-        return 3
+        rows = [("internal error", str(exc))]
     except ValueError as exc:
-        report = {
-            "command": args.command,
-            "status": "precondition-failure",
-            "reason": str(exc),
-        }
-        _emit(report, _table([("error", str(exc))]), args.json_only)
-        return 2
-    _emit(report, human, args.json_only)
-    return code
+        report = {"command": args.command, "status": "precondition-failure", "reason": str(exc)}
+        rows = [("error", str(exc))]
+    _emit(report, _table(rows), args.json_only)
+    # the one status -> exit code rule: every status but these two is a reported failure
+    return {"ok": 0, "internal-error": 3}.get(report["status"], 2)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import space
-from .capacity import FunctionOnSpace, UpperProb, is_invariant_capacity, null_support
+from . import fec, space
+from .capacity import FunctionOnSpace, UpperProb, null_support
 from .space import Transformation
 
 ZERO = Fraction(0)
@@ -38,10 +38,7 @@ def invariant_function_basis(V: UpperProb, T: Transformation) -> list[FunctionOn
     forward-closed for an invariant capacity, so the restriction is a
     genuine map on fewer points.
     """
-    if T.size != V.size:
-        raise ValueError("map and capacity live on different spaces")
-    if not is_invariant_capacity(V, T):
-        raise ValueError("capacity is not invariant under the map")
+    fec._require_invariant(V, T)
     supp = null_support(V)
     pts = list(space.points(supp))
     if not pts:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import birkhoff, capacity, fec, measure, space
 from .birkhoff import IndependencePair
 from .capacity import UpperProb, envelope
-from .fec import FECResult, NotFEC
+from .fec import FECResult
 from .measure import Prob
 from .space import Partition, SubsetMask, Transformation
 
@@ -106,9 +106,8 @@ def combined_capacity(part: IrreduciblePartition) -> UpperProb:
 class ConstructionReport:
     """Outcome of the structure checks on an `IrreduciblePartition`.
 
-    `fec_ok` and `zero_one` come from one `fec_decompose` call on the
-    combined capacity: it returns `NotFEC` exactly when the zero-one
-    condition fails.
+    `fec_ok` also answers the zero-one condition: `fec_decompose` returns
+    `NotFEC` exactly when that condition fails, so the two are one fact.
     """
 
     q_ergodic: tuple[bool, ...]
@@ -116,7 +115,10 @@ class ConstructionReport:
     v_fz: tuple[bool, ...]
     combined: UpperProb
     fec_ok: bool
-    zero_one: bool
+
+    @property
+    def zero_one(self) -> bool:
+        return self.fec_ok
 
     @property
     def all_pass(self) -> bool:
@@ -125,7 +127,6 @@ class ConstructionReport:
             and all(self.v_invariant)
             and all(self.v_fz)
             and self.fec_ok
-            and self.zero_one
         )
 
 
@@ -145,14 +146,10 @@ def verify_construction(part: IrreduciblePartition) -> ConstructionReport:
         for V, inv in zip(part.capacities, v_invariant)
     )
     combined = combined_capacity(part)
-    if capacity.is_invariant_capacity(combined, T):
-        result = fec.fec_decompose(combined, T)
-        fec_ok = isinstance(result, FECResult)
-        zero_one = not isinstance(result, NotFEC)
-    else:
-        fec_ok = False
-        zero_one = False
-    return ConstructionReport(q_ergodic, v_invariant, v_fz, combined, fec_ok, zero_one)
+    fec_ok = capacity.is_invariant_capacity(combined, T) and isinstance(
+        fec.fec_decompose(combined, T), FECResult
+    )
+    return ConstructionReport(q_ergodic, v_invariant, v_fz, combined, fec_ok)
 
 
 def noninvariant_lln(part: IrreduciblePartition, f: capacity.FunctionOnSpace) -> bool:

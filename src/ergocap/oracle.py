@@ -422,3 +422,34 @@ def oracle_window_sup(
                 best_num, best_len = running, length
     assert best_len
     return Fraction(best_num, best_len * den)
+
+
+def oracle_fixed_space_dimension(vtable: Table, ttable: MapTable) -> int:
+    """Dimension of {f : f(T(w)) = f(w) at every w with V({w}) > 0}.
+
+    Those are the fixed functions of f -> f . T up to V-null sets.  With S
+    the points of positive singleton value, the dimension is |S| minus
+    the rank of the rows e_{T(w)} - e_w for w in S, found by
+    fraction-free integer elimination.
+    """
+    m = len(ttable)
+    support = [w for w in range(m) if vtable[1 << w] > 0]
+    rows = []
+    for w in support:
+        row = [0] * m
+        row[ttable[w]] += 1
+        row[w] -= 1
+        rows.append(row)
+    rank = 0
+    for c in range(m):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            k = rows[r][c]
+            if k:
+                rows[r] = [top[c] * x - k * y for x, y in zip(rows[r], top)]
+        rank += 1
+    return len(support) - rank

@@ -261,9 +261,5 @@ def preimage(T: Transformation, mask: SubsetMask) -> SubsetMask:
     return out
 
 
-def is_invariant_set(T: Transformation, mask: SubsetMask) -> bool:
-    return preimage(T, mask) == mask
-
-
 def is_invertible(T: Transformation) -> bool:
     return len(set(T.table)) == T.size

@@ -613,3 +613,21 @@ def test_oracle_self_check_exits_3_with_a_report(monkeypatch, capsys):
         "status": "internal-error",
         "reason": "oracle: core LP cannot be unbounded",
     }
+
+
+def test_oracle_mismatch_exits_2_with_a_report(monkeypatch, capsys):
+    # a main path that disagrees with its oracle is a reported failure, not a crash
+    from ergocap import capacity, cli
+
+    choquet = capacity.choquet_integral
+    monkeypatch.setattr(capacity, "choquet_integral", lambda V, f: choquet(V, f) + 1)
+    assert cli.main(["oracle-verify", "--seed", "3", "--nmax", "2", "--json-only"]) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["status"] == "mismatch"
+    assert report["reason"] == "main path disagrees with an oracle"
+    assert report["all_pass"] is False
+    assert report["checks"]["choquet"] == 4
+    assert len(report["mismatches"]) == 4
+    assert all(line.startswith("choquet: instance ") for line in report["mismatches"])
+    assert "Traceback" not in err

@@ -9,14 +9,17 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergocap import capacity, generate
+from ergocap import capacity, generate, koopman
 from ergocap.capacity import envelope
+from ergocap.fec import FECResult, fec_decompose
 from ergocap.measure import Prob
+from ergocap.space import Transformation
 from ergocap.oracle import (
     oracle_choquet,
     oracle_core_sup,
     oracle_core_vertices,
     oracle_fec,
+    oracle_fixed_space_dimension,
     oracle_invariant_sets,
     oracle_lp_max,
     oracle_tail_average,
@@ -232,3 +235,40 @@ def test_core_sup_agrees_with_vertex_max(seed):
         sum((c * x for c, x in zip(obj, v)), F(0)) for v in oracle_core_vertices(V.table)
     )
     assert oracle_core_sup(V.table, obj) == best
+
+
+# (map, generators, fixed-space dimension): supports that miss whole
+# components of the map, so the dimension is below the component count
+PARTIAL_SUPPORT_SYSTEMS = [
+    # the uniform measure on one cycle of a two-component map
+    ((1, 0, 3, 2), [prob("1/2", "1/2", 0, 0)], 1),
+    # cycles {1, 2} and {5} with the tree points 3 -> 0 -> 1 and 4 -> 5; only {1, 2} is charged
+    ((1, 2, 1, 0, 5, 5), [prob(0, "1/2", "1/2", 0, 0, 0)], 1),
+    # three fixed points, two charged, without FEC
+    ((0, 1, 2), [prob(1, 0, 0), prob("1/2", "1/2", 0)], 2),
+    # two of three cycles charged, by one generator each
+    ((1, 0, 2, 4, 3), [prob(0, 0, 1, 0, 0), prob(0, 0, 0, "1/2", "1/2")], 2),
+]
+
+
+@pytest.mark.parametrize("ttable, gens, dim", PARTIAL_SUPPORT_SYSTEMS)
+def test_fixed_space_dimension_counts_only_charged_components(ttable, gens, dim):
+    V = envelope(gens)
+    T = Transformation(ttable)
+    assert len(T.components) > dim
+    assert oracle_fixed_space_dimension(V.table, ttable) == dim
+    assert koopman.eigenvalue_one_multiplicity(V, T) == dim
+
+
+def test_fixed_space_dimension_matches_koopman_multiplicity():
+    # 240 seeded invariant systems, with and without FEC
+    rng = Random(2024)
+    fec_count = 0
+    for _ in range(240):
+        m = rng.randint(2, 7)
+        T = generate.random_transformation(rng, m)
+        V = generate.random_upper_prob(rng, T)
+        fec_count += isinstance(fec_decompose(V, T), FECResult)
+        dim = oracle_fixed_space_dimension(V.table, T.table)
+        assert dim == koopman.eigenvalue_one_multiplicity(V, T)
+    assert 0 < fec_count < 240
