@@ -2,10 +2,13 @@
 
 Everything here recomputes claims from definitions on raw data: maps are
 plain int tuples, measures are Fraction tuples, capacities are value
-tables indexed by subset mask.  Fractions appear only at the boundary:
-the simplex pivots an integer tableau over one common denominator
-(integer-preserving pivoting, as in Edmonds and Bareiss), and orbit
-averages sum integer numerators over the measure's common denominator.
+tables indexed by subset mask.  The exact arithmetic runs in integers: the
+simplex pivots an integer tableau over one common denominator
+(integer-preserving pivoting, as in Edmonds and Bareiss), vertex
+enumeration solves each basis by fraction-free (Bareiss) elimination,
+and orbit averages sum integer numerators over the measure's common
+denominator.  Each candidate vertex is still checked against every
+bound in Fractions, as the literal statement of core membership.
 No code is shared with the main modules beyond the bitmask convention,
 and only the standard library is imported, so agreement between the two
 paths is evidence rather than tautology.  Oracles are allowed to be
@@ -62,44 +65,77 @@ def oracle_choquet(vtable: Table, values: Table) -> Fraction:
     return total
 
 
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fraction, ...] | None:
-    """Gaussian elimination; None when the system is singular."""
-    n = len(matrix)
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _echelon(rows: list[list[int]], ncols: int) -> int:
+    """Fraction-free (Bareiss) elimination of integer rows over their first
+    `ncols` columns, in place; returns the rank.
+
+    A column with no nonzero entry below the pivots found so far is
+    skipped; otherwise its first such row is swapped up as pivot p, and
+    every row below becomes (p * row - k * top) / prev, with k its entry in
+    the column and prev the previous pivot (1 at the start).  By
+    Sylvester's identity each entry is then a minor of the input, so the
+    division is exact.  Rows are replaced, never mutated, so callers may
+    pass rows they share.
+    """
+    prev = 1
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for r in range(rank + 1, len(rows)):
+            k = rows[r][c]
+            rows[r] = [(p * x - k * y) // prev for x, y in zip(rows[r], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
-def oracle_core_vertices(vtable: Table) -> list[tuple[Fraction, ...]]:
-    """Core polytope vertices by exhaustive tight-constraint enumeration.
+def _solve(aug: list[list[int]], den: int) -> tuple[Fraction, ...] | None:
+    """The solution of the square integer system `aug` (coefficients, then
+    right-hand side, per row) divided by `den`; None when singular.
 
-    A vertex solves the mass equality plus m-1 independent tight rows
-    chosen among the subset bounds and the sign constraints; every
-    feasible such solution is collected and deduplicated.
+    `_echelon` leaves the system upper triangular, and back-substitution
+    from its last row gives the solution in Fractions.
+    """
+    n = len(aug)
+    if _echelon(aug, n) < n:
+        return None
+    xs = [ZERO] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        xs[i] = (Fraction(row[n], den) - sum(row[j] * xs[j] for j in range(i + 1, n))) / row[i]
+    return tuple(xs)
+
+
+def _tight_vertices(vtable: Table, equalities: list[list[int]]) -> list[tuple[Fraction, ...]]:
+    """Vertices of the core points x with e . x = 0 for each integer row e,
+    by exhaustive tight-constraint enumeration.
+
+    The bound rows are scaled to integers over the common denominator D of
+    V's values, in the coordinates D x: the mass equality reads ones = D,
+    each bound row 1_A <= D V(A).  The equality block, mass first, is cut
+    to an independent subset of r rows; a vertex solves it plus m - r
+    independent tight rows chosen among the bounds and the sign
+    constraints.  Every nonnegative solution inside every bound of V,
+    checked literally in Fractions, is collected and deduplicated.
     """
     n = len(vtable)
     m = n.bit_length() - 1
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    for a in range(1, n - 1):
-        rows.append(([ONE if a >> w & 1 else ZERO for w in range(m)], vtable[a]))
+    bounds, den = _scaled(vtable[1 : n - 1])
+    rows = [[a >> w & 1 for w in range(m)] + [b] for a, b in enumerate(bounds, 1)]
     for w in range(m):
-        rows.append(([-ONE if x == w else ZERO for x in range(m)], ZERO))
-    ones = [ONE] * m
+        rows.append([-1 if x == w else 0 for x in range(m)] + [0])
+    block = [[1] * m + [den]]
+    for e in equalities:
+        if _echelon([*block, e + [0]], m) > len(block):
+            block.append(e + [0])
     found = set()
-    for combo in combinations(range(len(rows)), m - 1):
-        matrix = [ones] + [rows[i][0] for i in combo]
-        rhs = [ONE] + [rows[i][1] for i in combo]
-        p = _solve_square(matrix, rhs)
+    for combo in combinations(rows, m - len(block)):
+        p = _solve([*block, *combo], den)
         if p is None:
             continue
         if any(x < 0 for x in p):
@@ -115,11 +151,31 @@ def oracle_core_vertices(vtable: Table) -> list[tuple[Fraction, ...]]:
     return sorted(found)
 
 
+def oracle_core_vertices(vtable: Table) -> list[tuple[Fraction, ...]]:
+    """Core polytope vertices by exhaustive tight-constraint enumeration:
+    the mass equality plus m-1 independent tight rows, each basis solved
+    by fraction-free elimination (see `_tight_vertices`)."""
+    return _tight_vertices(vtable, [])
+
+
+def oracle_invariant_core_vertices(vtable: Table, ttable: MapTable) -> list[tuple[Fraction, ...]]:
+    """Vertices of {P in core(V) : P(T^{-1}{w}) = P({w}) for every w}, by
+    the same enumeration in P's own coordinates, with the invariance rows
+    added to the equality block.  Exponential in m; meant for m <= 4."""
+    m = len(ttable)
+    invariance = []
+    for w in range(m):
+        row = [1 if ttable[u] == w else 0 for u in range(m)]
+        row[w] -= 1
+        invariance.append(row)
+    return _tight_vertices(vtable, invariance)
+
+
 def _scaled(values) -> tuple[list[int], int]:
-    """Integer numerators of `values` over the lcm k of their denominators, and k."""
-    fracs = [Fraction(x) for x in values]
-    k = lcm(*(x.denominator for x in fracs))
-    return [x.numerator * (k // x.denominator) for x in fracs], k
+    """Integer numerators of the ints or Fractions `values` over the lcm k
+    of their denominators, and k."""
+    k = lcm(*(x.denominator for x in values))
+    return [x.numerator * (k // x.denominator) for x in values], k
 
 
 def _pivot(rows: list[list[int]], zrows: list[list[int]], basis: list[int], den: int, r: int, c: int) -> int:
@@ -176,11 +232,12 @@ def oracle_lp_max(
 ) -> tuple[str, Fraction | None, tuple[Fraction, ...] | None]:
     """Two-phase exact simplex: maximize c.x, A x <= b, E x = d, x >= 0.
 
-    Each row is scaled by the lcm k of its denominators, which rescales
-    only its own slack or artificial, so Bland's rule takes the same
-    pivots as on the rational tableau.  Phase 1 maximizes minus the sum
-    of the unscaled artificials (weight L/k, L the lcm of their k), and
-    the objective row rides along from the start.
+    Entries are ints or Fractions.  Each row is scaled by the lcm k of its
+    denominators (k = 1 for a row of ints), which rescales only its own
+    slack or artificial, so Bland's rule takes the same pivots as on the
+    rational tableau.  Phase 1 maximizes minus the sum of the unscaled
+    artificials (weight L/k, L the lcm of their k), and the objective row
+    rides along from the start.
     """
     nreal = len(objective)
     rows: list[list[int]] = []
@@ -262,6 +319,34 @@ def oracle_lp_max(
     return "optimal", Fraction(-zobj[-1], den * zscale), tuple(x)
 
 
+def _core_bounds(vtable: Table) -> list[tuple[list[int], int]]:
+    """The core LP's bound rows 1_A . x <= V(A), A proper and nonempty, in
+    integers: each row times the denominator of V(A)."""
+    n = len(vtable)
+    m = n.bit_length() - 1
+    rows = []
+    for a in range(1, n - 1):
+        v = vtable[a]
+        rows.append(([v.denominator if a >> w & 1 else 0 for w in range(m)], v.numerator))
+    return rows
+
+
+def _core_sup(
+    bounds: list[tuple[list[int], int]],
+    objective: list[Fraction],
+    equalities: tuple[tuple[list[Fraction], Fraction], ...],
+) -> Fraction | None:
+    """`oracle_core_sup` on the bound rows of `_core_bounds`, which a caller
+    with many objectives builds once."""
+    eq = [([ONE] * len(objective), ONE), *equalities]
+    status, value, _ = oracle_lp_max(list(objective), bounds, eq)
+    if status == "infeasible":
+        return None
+    if status != "optimal":
+        raise RuntimeError("core LP cannot be unbounded")
+    return value
+
+
 def oracle_core_sup(
     vtable: Table,
     objective: list[Fraction],
@@ -269,18 +354,7 @@ def oracle_core_sup(
 ) -> Fraction | None:
     """sup of a linear functional over the core, by simplex; None if the
     core slice cut out by the extra equalities is empty."""
-    n = len(vtable)
-    m = n.bit_length() - 1
-    ub = []
-    for a in range(1, n - 1):
-        ub.append(([ONE if a >> w & 1 else ZERO for w in range(m)], vtable[a]))
-    eq = [([ONE] * m, ONE)] + list(equalities)
-    status, value, _ = oracle_lp_max(list(objective), ub, eq)
-    if status == "infeasible":
-        return None
-    if status != "optimal":
-        raise RuntimeError("core LP cannot be unbounded")
-    return value
+    return _core_sup(_core_bounds(vtable), objective, equalities)
 
 
 def _components(ttable: MapTable) -> list[int]:
@@ -338,6 +412,7 @@ def oracle_fec(vtable: Table, ttable: MapTable) -> tuple[tuple[tuple[int, ...], 
 
     comps = _components(ttable)
     full = (1 << m) - 1
+    bounds = _core_bounds(vtable)
     cell_ok: dict[int, bool] = {}
 
     def passes(cell: int) -> bool:
@@ -346,7 +421,7 @@ def oracle_fec(vtable: Table, ttable: MapTable) -> tuple[tuple[tuple[int, ...], 
 
             def sup(a: int) -> Fraction | None:
                 objective = [ONE if a >> w & 1 else ZERO for w in range(m)]
-                return oracle_core_sup(vtable, objective, on_cell)
+                return _core_sup(bounds, objective, on_cell)
 
             ok = True
             for a in invariant:
@@ -399,6 +474,10 @@ def oracle_window_sup(
     m = len(ttable)
     if sorted(ttable) != list(range(m)):
         raise ValueError("two-sided windows need an invertible map")
+    if max_len < 1:
+        raise ValueError("window needs at least one term")
+    if max_shift < 0:
+        raise ValueError("window shift must be nonnegative")
     nums, den = _scaled(ptable)
     inverse = [0] * m
     for w, img in enumerate(ttable):
@@ -420,7 +499,6 @@ def oracle_window_sup(
             # running / length > best_num / best_len, cross-multiplied
             if best_len == 0 or running * best_len > best_num * length:
                 best_num, best_len = running, length
-    assert best_len
     return Fraction(best_num, best_len * den)
 
 
@@ -429,8 +507,7 @@ def oracle_fixed_space_dimension(vtable: Table, ttable: MapTable) -> int:
 
     Those are the fixed functions of f -> f . T up to V-null sets.  With S
     the points of positive singleton value, the dimension is |S| minus
-    the rank of the rows e_{T(w)} - e_w for w in S, found by
-    fraction-free integer elimination.
+    the rank of the rows e_{T(w)} - e_w for w in S, found by `_echelon`.
     """
     m = len(ttable)
     support = [w for w in range(m) if vtable[1 << w] > 0]
@@ -440,16 +517,4 @@ def oracle_fixed_space_dimension(vtable: Table, ttable: MapTable) -> int:
         row[ttable[w]] += 1
         row[w] -= 1
         rows.append(row)
-    rank = 0
-    for c in range(m):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            k = rows[r][c]
-            if k:
-                rows[r] = [top[c] * x - k * y for x, y in zip(rows[r], top)]
-        rank += 1
-    return len(support) - rank
+    return len(support) - _echelon(rows, m)

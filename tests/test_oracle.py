@@ -3,6 +3,7 @@ exact simplex, basis-enumeration vertices, literal orbit averages."""
 
 import ast
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -15,11 +16,14 @@ from ergocap.fec import FECResult, fec_decompose
 from ergocap.measure import Prob
 from ergocap.space import Transformation
 from ergocap.oracle import (
+    _core_bounds,
+    _solve,
     oracle_choquet,
     oracle_core_sup,
     oracle_core_vertices,
     oracle_fec,
     oracle_fixed_space_dimension,
+    oracle_invariant_core_vertices,
     oracle_invariant_sets,
     oracle_lp_max,
     oracle_tail_average,
@@ -150,6 +154,10 @@ def test_core_vertices_examples(two_blocks, q1, q2):
     assert oracle_core_vertices(V.table) == [(F(1, 2), F(1, 2)), (1, 0)]
     single = envelope([prob("1/4", "1/4", "1/4", "1/4")])
     assert oracle_core_vertices(single.table) == [(F(1, 4),) * 4]
+    # unlike denominators: the mass row's right-hand side is their lcm 12
+    V = envelope([prob("1/3", "2/3"), prob("3/4", "1/4")])
+    assert oracle_core_vertices(V.table) == [(F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))]
+    assert oracle_core_vertices((F(0), ONE)) == [(ONE,)]
 
 
 @given(st.integers(0, 10**6))
@@ -224,6 +232,16 @@ def test_window_sup_examples():
         oracle_window_sup((ONE, F(0)), (0, 0), 0b01, 2, 3)
 
 
+def test_window_sup_refuses_an_empty_length_range():
+    with pytest.raises(ValueError, match="at least one term"):
+        oracle_window_sup((F(1, 3), F(2, 3)), (1, 0), 0b01, 0, 0)
+
+
+def test_window_sup_refuses_a_negative_shift():
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle_window_sup((F(1, 3), F(2, 3)), (1, 0), 0b01, -1, 2)
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=25)
 def test_core_sup_agrees_with_vertex_max(seed):
@@ -271,4 +289,132 @@ def test_fixed_space_dimension_matches_koopman_multiplicity():
         fec_count += isinstance(fec_decompose(V, T), FECResult)
         dim = oracle_fixed_space_dimension(V.table, T.table)
         assert dim == koopman.eigenvalue_one_multiplicity(V, T)
+    assert 0 < fec_count < 240
+
+
+def _reference_solve(matrix, rhs):
+    """Gauss-Jordan elimination in Fractions; None when singular."""
+    n = len(matrix)
+    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        aug[col] = [x / inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(aug[r][n] for r in range(n))
+
+
+def _reference_core_vertices(vtable):
+    """Tight-constraint enumeration with the Fraction solver above."""
+    n = len(vtable)
+    m = n.bit_length() - 1
+    rows = [([F(a >> w & 1) for w in range(m)], vtable[a]) for a in range(1, n - 1)]
+    rows += [([-ONE if x == w else F(0) for x in range(m)], F(0)) for w in range(m)]
+    found = set()
+    for combo in combinations(rows, m - 1):
+        p = _reference_solve([[ONE] * m] + [r for r, _ in combo], [ONE] + [b for _, b in combo])
+        if p is None or any(x < 0 for x in p):
+            continue
+        if all(sum((p[w] for w in range(m) if a >> w & 1), F(0)) <= vtable[a] for a in range(1, n - 1)):
+            found.add(p)
+    return sorted(found)
+
+
+def test_core_vertices_match_the_fraction_reference():
+    # 300 seeded tables with m <= 4 (most at m = 3, where the reference is
+    # cheap); half are envelopes, half envelopes with some bounds loosened
+    # by fractions of unrelated denominators
+    rng = Random(26)
+    unlike = 0
+    for m, count in ((1, 20), (2, 80), (3, 194), (4, 6)):
+        for i in range(count):
+            V = envelope([generate.random_prob(rng, m, rng.choice((3, 6, 11))) for _ in range(rng.randint(1, 3))])
+            table = list(V.table)
+            if i % 2:
+                for a in range(1, (1 << m) - 1):
+                    if rng.random() < 0.4:
+                        table[a] = min(ONE, table[a] + F(1, rng.randint(2, 13)))
+            table = tuple(table)
+            unlike += len({x.denominator for x in table}) > 2
+            got = oracle_core_vertices(table)
+            assert got == _reference_core_vertices(table)
+            assert got and all(type(x) is Fraction for v in got for x in v)
+    assert unlike > 150
+
+
+# square integer systems in the scaled coordinates y = D x, as the
+# enumeration builds them: (rows of coefficients then right-hand side, D, x)
+SOLVE_CASES = {
+    # 1_{01} + 1_{2} is the mass row: singular
+    "singular": ([[1, 1, 1, 12], [1, 1, 0, 5], [0, 0, 1, 7]], 12, None),
+    # after the mass row clears column 0, 1_{01} is zero in column 1 and swaps with 1_{1}
+    "row_swap": ([[1, 1, 1, 12], [1, 1, 0, 9], [0, 1, 0, 4]], 12, (F(5, 12), F(1, 3), F(1, 4))),
+    # the sign row -e_1 gives pivot -1, the divisor of the next step
+    "negative_pivot": (
+        [[1, 1, 1, 1, 30], [0, -1, 0, 0, 0], [0, 1, 1, 0, 12], [1, 0, 1, 0, 20]],
+        30,
+        (F(4, 15), F(0), F(2, 5), F(1, 3)),
+    ),
+    # pivots 1, -1, 1, 2: the last row's update divides by the previous
+    # pivot 1, and its entries are not all even
+    "pivot_two": (
+        [[1, 1, 1, 1, 1, 60], [1, 1, 0, 0, 0, 7], [1, 0, 1, 0, 0, 8], [1, 0, 0, 1, 0, 9], [1, 1, 0, 1, 0, 10]],
+        60,
+        (F(1, 10), F(1, 60), F(1, 30), F(1, 20), F(4, 5)),
+    ),
+    "m1": ([[1, 5]], 5, (ONE,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_solve_pinned_cases(name):
+    aug, den, expected = SOLVE_CASES[name]
+    got = _solve([row[:] for row in aug], den)
+    assert got == expected
+    if expected is not None:
+        assert all(type(x) is Fraction for x in got)
+        matrix = [[F(x) for x in row[:-1]] for row in aug]
+        assert got == _reference_solve(matrix, [F(row[-1], den) for row in aug])
+
+
+def test_core_bounds_keep_the_simplex_pivots():
+    # the integer bound rows take the same pivots as the Fraction rows, so
+    # even the optimal vertex the simplex stops at is the same
+    rng = Random(7)
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        V = envelope([generate.random_prob(rng, m) for _ in range(rng.randint(1, 3))])
+        obj = [F(rng.randint(-3, 3)) for _ in range(m)]
+        eq = [([ONE] * m, ONE)]
+        rows = [([F(a >> w & 1) for w in range(m)], V.table[a]) for a in range(1, (1 << m) - 1)]
+        assert oracle_lp_max(obj, _core_bounds(V.table), eq) == oracle_lp_max(obj, rows, eq)
+
+
+def test_invariant_core_vertices_examples(two_blocks, q1, q2, swap_pairs):
+    assert oracle_invariant_core_vertices(two_blocks.table, swap_pairs.table) == [q2.mass, q1.mass]
+    # only the uniform measure is invariant under the 4-cycle
+    assert oracle_invariant_core_vertices(two_blocks.table, (1, 2, 3, 0)) == [(F(1, 4),) * 4]
+    # no core member gives the fixed point 0 all its mass
+    V = envelope([prob("1/2", "1/2")])
+    assert oracle_invariant_core_vertices(V.table, (0, 0)) == []
+    assert oracle_invariant_core_vertices((F(0), ONE), (0,)) == [(ONE,)]
+
+
+def test_invariant_core_vertices_match_main_path():
+    # 240 seeded invariant systems with m <= 4, with and without FEC
+    rng = Random(4)
+    fec_count = 0
+    for _ in range(240):
+        m = rng.randint(1, 4)
+        T = generate.random_transformation(rng, m)
+        V = generate.random_upper_prob(rng, T)
+        fec_count += isinstance(fec_decompose(V, T), FECResult)
+        got = oracle_invariant_core_vertices(V.table, T.table)
+        assert got == [P.mass for P in capacity.invariant_core_vertices(V, T)]
     assert 0 < fec_count < 240
