@@ -5,10 +5,12 @@ plain int tuples, measures are Fraction tuples, capacities are value
 tables indexed by subset mask.  The exact arithmetic runs in integers: the
 simplex pivots an integer tableau over one common denominator
 (integer-preserving pivoting, as in Edmonds and Bareiss), vertex
-enumeration solves each basis by fraction-free (Bareiss) elimination,
-and orbit averages sum integer numerators over the measure's common
-denominator.  Each candidate vertex is still checked against every
-bound in Fractions, as the literal statement of core membership.
+enumeration solves each basis by fraction-free (Bareiss) elimination
+and integer back-substitution over the last pivot, and orbit averages
+sum integer numerators over the measure's common denominator.
+Vertex enumeration uses Fractions only for its output and its vertex
+check: each nonnegative candidate vertex is checked against every bound
+in Fractions, as the literal statement of core membership.
 No code is shared with the main modules beyond the bitmask convention,
 and only the standard library is imported, so agreement between the two
 paths is evidence rather than tautology.  Oracles are allowed to be
@@ -94,21 +96,28 @@ def _echelon(rows: list[list[int]], ncols: int) -> int:
     return rank
 
 
-def _solve(aug: list[list[int]], den: int) -> tuple[Fraction, ...] | None:
+def _solve(aug: list[list[int]], den: int) -> tuple[tuple[int, ...], int] | None:
     """The solution of the square integer system `aug` (coefficients, then
-    right-hand side, per row) divided by `den`; None when singular.
+    right-hand side, per row) divided by `den`, as integers y and d > 0
+    with solution y / (d * den); None when singular.
 
-    `_echelon` leaves the system upper triangular, and back-substitution
-    from its last row gives the solution in Fractions.
+    `_echelon` leaves the system upper triangular, and its last pivot d is
+    plus or minus the determinant, so by Cramer's rule d times the solution
+    of `aug` is an integer vector y.  Back-substitution from the last row,
+    y_i = (d * rhs_i - sum_{j > i} row_i[j] * y_j) / row_i[i], divides
+    exactly; d is then made positive, flipping the signs of y with it.
     """
     n = len(aug)
     if _echelon(aug, n) < n:
         return None
-    xs = [ZERO] * n
+    d = aug[n - 1][n - 1]
+    ys = [0] * n
     for i in range(n - 1, -1, -1):
         row = aug[i]
-        xs[i] = (Fraction(row[n], den) - sum(row[j] * xs[j] for j in range(i + 1, n))) / row[i]
-    return tuple(xs)
+        ys[i] = (d * row[n] - sum(row[j] * ys[j] for j in range(i + 1, n))) // row[i]
+    if d < 0:
+        return tuple(-y for y in ys), -d
+    return tuple(ys), d
 
 
 def _tight_vertices(vtable: Table, equalities: list[list[int]]) -> list[tuple[Fraction, ...]]:
@@ -120,8 +129,10 @@ def _tight_vertices(vtable: Table, equalities: list[list[int]]) -> list[tuple[Fr
     each bound row 1_A <= D V(A).  The equality block, mass first, is cut
     to an independent subset of r rows; a vertex solves it plus m - r
     independent tight rows chosen among the bounds and the sign
-    constraints.  Every nonnegative solution inside every bound of V,
-    checked literally in Fractions, is collected and deduplicated.
+    constraints.  `_solve` gives each solution as integers y over d * D,
+    so a negative candidate is rejected by the signs of y alone; only a
+    nonnegative one becomes Fractions, checked literally against every
+    bound of V, then collected and deduplicated.
     """
     n = len(vtable)
     m = n.bit_length() - 1
@@ -135,11 +146,14 @@ def _tight_vertices(vtable: Table, equalities: list[list[int]]) -> list[tuple[Fr
             block.append(e + [0])
     found = set()
     for combo in combinations(rows, m - len(block)):
-        p = _solve([*block, *combo], den)
-        if p is None:
+        solved = _solve([*block, *combo], den)
+        if solved is None:
             continue
-        if any(x < 0 for x in p):
+        ys, d = solved
+        if any(y < 0 for y in ys):
             continue
+        scale = d * den
+        p = tuple(Fraction(y, scale) for y in ys)
         ok = True
         for a in range(1, n - 1):
             s = sum((p[w] for w in range(m) if a >> w & 1), ZERO)
@@ -455,6 +469,8 @@ def oracle_tail_average(
     """Mean of P(T^{-i}A) over i in [burn, burn + length)."""
     if length < 1:
         raise ValueError("window needs at least one term")
+    if burn < 0:
+        raise ValueError("burn must be nonnegative")
     nums, den = _scaled(ptable)
     cur = mask
     for _ in range(burn):
@@ -464,6 +480,38 @@ def oracle_tail_average(
         total += sum(nums[w] for w in range(len(ttable)) if cur >> w & 1)
         cur = _preimage(ttable, cur)
     return Fraction(total, den * length)
+
+
+def oracle_birkhoff_limit(ttable: MapTable, values: Table) -> Table:
+    """The limit of (1/N) sum_{i < N} f(T^i w) at every point w, literally.
+
+    Every orbit is on its cycle after m steps, so the average from T^m(w)
+    over L steps, L the lcm of the cycle lengths (each found by walking
+    its cycle), is the limit at w.
+    """
+    m = len(ttable)
+    nums, den = _scaled(values)
+    starts = []
+    for w in range(m):
+        cur = w
+        for _ in range(m):
+            cur = ttable[cur]
+        starts.append(cur)
+    lengths = []
+    for start in starts:
+        cur, steps = ttable[start], 1
+        while cur != start:
+            cur, steps = ttable[cur], steps + 1
+        lengths.append(steps)
+    period = lcm(*lengths)
+    out = []
+    for cur in starts:
+        total = 0
+        for _ in range(period):
+            total += nums[cur]
+            cur = ttable[cur]
+        out.append(Fraction(total, den * period))
+    return tuple(out)
 
 
 def oracle_window_sup(

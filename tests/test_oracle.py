@@ -10,7 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergocap import capacity, generate, koopman
+from ergocap import birkhoff, capacity, generate, koopman
 from ergocap.capacity import envelope
 from ergocap.fec import FECResult, fec_decompose
 from ergocap.measure import Prob
@@ -18,6 +18,7 @@ from ergocap.space import Transformation
 from ergocap.oracle import (
     _core_bounds,
     _solve,
+    oracle_birkhoff_limit,
     oracle_choquet,
     oracle_core_sup,
     oracle_core_vertices,
@@ -224,6 +225,30 @@ def test_tail_average_examples():
         oracle_tail_average(p, (1, 0), 0b01, 0, 0)
 
 
+def test_tail_average_refuses_a_negative_burn():
+    # range(burn) would take no step, and the mean would start at i = 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle_tail_average((F(1, 2), F(1, 2), F(0)), (1, 2, 2), 0b100, -3, 2)
+
+
+def test_birkhoff_limit_examples():
+    # 0 -> 1 -> {2, 3} cycle, 4 fixed: the tail points take the cycle's mean
+    f = (F(5), F(-1), F(1, 2), F(3, 2), F(2, 3))
+    assert oracle_birkhoff_limit((1, 2, 3, 2, 4), f) == (1, 1, 1, 1, F(2, 3))
+    # cycles of lengths 2 and 3 share one window of lcm 6
+    assert oracle_birkhoff_limit((1, 0, 3, 4, 2), (1, 0, 1, 0, 0)) == (F(1, 2),) * 2 + (F(1, 3),) * 3
+
+
+def test_birkhoff_limit_matches_main_path():
+    # 240 seeded (T, f) pairs with m <= 8, on random maps and permutations
+    rng = Random(27)
+    for i in range(240):
+        m = rng.randint(1, 8)
+        T = (generate.random_permutation if i % 3 == 0 else generate.random_transformation)(rng, m)
+        f = generate.random_function(rng, m)
+        assert oracle_birkhoff_limit(T.table, f.values) == birkhoff.birkhoff_limit(T, f).values
+
+
 def test_window_sup_examples():
     p = (F(1, 3), F(2, 3))
     assert oracle_window_sup(p, (1, 0), 0b01, 8, 17) == F(2, 3)
@@ -349,26 +374,35 @@ def test_core_vertices_match_the_fraction_reference():
 
 
 # square integer systems in the scaled coordinates y = D x, as the
-# enumeration builds them: (rows of coefficients then right-hand side, D, x)
+# enumeration builds them: (rows of coefficients then right-hand side, D,
+# the integers (y, d) with solution y / (d D))
 SOLVE_CASES = {
     # 1_{01} + 1_{2} is the mass row: singular
     "singular": ([[1, 1, 1, 12], [1, 1, 0, 5], [0, 0, 1, 7]], 12, None),
     # after the mass row clears column 0, 1_{01} is zero in column 1 and swaps with 1_{1}
-    "row_swap": ([[1, 1, 1, 12], [1, 1, 0, 9], [0, 1, 0, 4]], 12, (F(5, 12), F(1, 3), F(1, 4))),
+    "row_swap": ([[1, 1, 1, 12], [1, 1, 0, 9], [0, 1, 0, 4]], 12, ((5, 4, 3), 1)),
     # the sign row -e_1 gives pivot -1, the divisor of the next step
     "negative_pivot": (
         [[1, 1, 1, 1, 30], [0, -1, 0, 0, 0], [0, 1, 1, 0, 12], [1, 0, 1, 0, 20]],
         30,
-        (F(4, 15), F(0), F(2, 5), F(1, 3)),
+        ((8, 0, 12, 10), 1),
     ),
     # pivots 1, -1, 1, 2: the last row's update divides by the previous
     # pivot 1, and its entries are not all even
     "pivot_two": (
         [[1, 1, 1, 1, 1, 60], [1, 1, 0, 0, 0, 7], [1, 0, 1, 0, 0, 8], [1, 0, 0, 1, 0, 9], [1, 1, 0, 1, 0, 10]],
         60,
-        (F(1, 10), F(1, 60), F(1, 30), F(1, 20), F(4, 5)),
+        ((6, 1, 2, 3, 48), 1),
     ),
-    "m1": ([[1, 5]], 5, (ONE,)),
+    # the last pivot is -2: y is the solution doubled, with the signs flipped
+    # to make d positive, and the solution (1/120, 13/120, 9/40, 79/120)
+    # has halves in the scaled coordinates
+    "negative_last_pivot": (
+        [[1, 1, 1, 1, 60], [1, 1, 0, 0, 7], [1, 0, 1, 0, 14], [0, 1, 1, 0, 20]],
+        60,
+        ((1, 13, 27, 79), 2),
+    ),
+    "m1": ([[1, 5]], 5, ((5,), 1)),
 }
 
 
@@ -378,9 +412,10 @@ def test_solve_pinned_cases(name):
     got = _solve([row[:] for row in aug], den)
     assert got == expected
     if expected is not None:
-        assert all(type(x) is Fraction for x in got)
+        ys, d = got
+        assert d > 0 and all(type(y) is int for y in ys)
         matrix = [[F(x) for x in row[:-1]] for row in aug]
-        assert got == _reference_solve(matrix, [F(row[-1], den) for row in aug])
+        assert tuple(F(y, d * den) for y in ys) == _reference_solve(matrix, [F(row[-1], den) for row in aug])
 
 
 def test_core_bounds_keep_the_simplex_pivots():
